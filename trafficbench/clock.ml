@@ -1,0 +1,2 @@
+(* Seconds on the monotonic clock, nanosecond resolution. *)
+let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
