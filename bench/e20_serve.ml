@@ -50,14 +50,10 @@ let run () =
   let window = 32 in
   let rows = ref [] in
   let all_ok = ref true in
-  let arms_identical = ref true in
   let last = ref None in
-  (* One served arm: same seed -> same data and request stream, so the
-     compiled and interpreted servers answer an identical workload. *)
-  let serve_arm ~compile n =
+  let serve n =
     let rng = Harness.rng (20_000 + n) in
-    let config = { Server.default_config with compile } in
-    let srv = Server.create ~config () in
+    let srv = Server.create () in
     (match
        Catalog.load (Server.catalog srv) ~name:"E" ~attrs:[| "u"; "v" |]
          (random_edges rng n)
@@ -85,23 +81,15 @@ let run () =
   in
   List.iter
     (fun n ->
-      let srv, replies, elapsed = serve_arm ~compile:true n in
-      let _, interp_replies, interp_elapsed = serve_arm ~compile:false n in
+      let srv, replies, elapsed = serve n in
       List.iter
         (fun r -> if status_of r <> "ok" then all_ok := false)
         replies;
-      (* The compiled tier's contract is bit-identical answers: the
-         interpreted arm must reply byte-for-byte the same. *)
-      if
-        List.map Json.to_string replies
-        <> List.map Json.to_string interp_replies
-      then arms_identical := false;
       let m = Server.metrics srv in
       let count name = Option.value ~default:0 (Metrics.find_counter m name) in
       let hits = count "serve.cache.result.hits" in
       let plan_hits = count "serve.cache.plan.hits" in
       let rps = float_of_int requests /. elapsed in
-      let interp_rps = float_of_int requests /. interp_elapsed in
       last := Some (srv, hits, plan_hits);
       rows :=
         [
@@ -109,15 +97,11 @@ let run () =
           string_of_int requests;
           Harness.secs elapsed;
           Printf.sprintf "%.0f" rps;
-          Printf.sprintf "%.0f" interp_rps;
           Printf.sprintf "%d/%d" hits requests;
           string_of_int plan_hits;
         ]
         :: !rows;
-      Harness.metric (Printf.sprintf "E20.requests_per_sec.n%d" n) rps;
-      Harness.metric
-        (Printf.sprintf "E20.requests_per_sec.nocompile.n%d" n)
-        interp_rps)
+      Harness.metric (Printf.sprintf "E20.requests_per_sec.n%d" n) rps)
     (Harness.sizes [ 64; 128; 256 ]);
   Harness.table
     [
@@ -125,7 +109,6 @@ let run () =
       "requests";
       "elapsed";
       "req/s";
-      "req/s (--no-compile)";
       "result-cache hits";
       "plan-cache hits";
     ]
@@ -143,13 +126,11 @@ let run () =
       Harness.counter "E20.compile_hits" (count "serve.compile.hits");
       Harness.counter "E20.compile_misses" (count "serve.compile.misses");
       Harness.counter "E20.errors" (count "serve.errors");
-      Harness.counter "E20.nocompile_identical"
-        (if !arms_identical then 1 else 0);
       let hit_rate =
         float_of_int hits /. float_of_int (max 1 (count "serve.requests"))
       in
       Harness.verdict
-        (!all_ok && !arms_identical && hits > 0 && plan_hits > 0
+        (!all_ok && hits > 0 && plan_hits > 0
         && count "serve.errors" = 0)
         (Printf.sprintf
            "served %d requests without errors; %.0f%% answered from the \
@@ -157,8 +138,7 @@ let run () =
             Yannakakis for the path, a WCOJ engine for the triangle); \
             the WCOJ plan was lowered once (%d compile miss(es)) and its \
             IR reused %d time(s) from the plan cache - structure-aware \
-            planning decides the engine once, the LRU amortizes it; the \
-            --no-compile arm served the same stream byte-identically"
+            planning decides the engine once, the LRU amortizes it"
            (count "serve.requests") (100. *. hit_rate)
            (count "serve.compile.misses")
            (count "serve.compile.hits"))

@@ -104,7 +104,7 @@ let run () =
       Harness.counter "E21.lf.seeks" l0.Lf.seeks;
       Harness.counter "E21.lf.emitted" l0.Lf.emitted;
       Harness.counter "E21.identical" (if !identical then 1 else 0));
-  Harness.verdict !identical
+  Harness.contract !identical
     "sharded Generic Join and Leapfrog (k in {2,3,7}, sequential and \
      pooled) reproduced the unsharded answer counts and work counters \
      bit-for-bit: hash partitioning on the first join variable commutes \

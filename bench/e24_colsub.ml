@@ -159,8 +159,7 @@ let run () =
   let metrics = Metrics.create () in
   let ctx = Exec.make ~metrics () in
   let dec_rel, stats =
-    Lb_relalg.Decomposed_join.answer ~ctx ~compile:true
-      ?decomposition:plan.Planner.decomposition db five_cycle
+    Lb_relalg.Decomposed_join.answer ~ctx ?decomposition:plan.Planner.decomposition db five_cycle
   in
   let gj_rel = Lb_relalg.Generic_join.answer db five_cycle in
   let identical =

@@ -168,7 +168,7 @@ let run () =
       Harness.counter "E26.gj.trie_builds"
         (counter_of tri "generic_join.trie_builds");
       Harness.counter "E26.identical" (if !identical then 1 else 0));
-  Harness.verdict !identical
+  Harness.contract !identical
     "a coordinator scattering subquery slices over two TCP worker \
      replicas (owned-shard covers, one lead, version-stamped mutation \
      fan-out) reproduced every reply of a single-process sharded \

@@ -96,8 +96,24 @@ let banner (e : experiment) =
 
 let table header rows = Lb_util.Tabulate.print ~header rows
 
+(* A shape verdict: a fitted exponent, winner or crossover, meaningful
+   only at full sizes - reported, never fatal. *)
 let verdict ok msg =
   Printf.printf "\nVERDICT [%s] %s\n" (if ok then "OK" else "CHECK") msg
+
+(* The experiment being run (set by main.exe), and those whose
+   contract verdict failed, newest first. *)
+let current = ref ""
+
+let broken_contracts : string list ref = ref []
+
+(* A contract verdict: byte identity, counter or oracle agreement,
+   which must hold at any size.  Prints like [verdict]; a false one
+   makes main.exe exit non-zero after the run, so `dune runtest` fails
+   with it. *)
+let contract ok msg =
+  verdict ok msg;
+  if not ok then broken_contracts := !current :: !broken_contracts
 
 (* Format helpers. *)
 let f2 x = Printf.sprintf "%.2f" x

@@ -92,6 +92,7 @@ let () =
     List.iter
       (fun (e : Harness.experiment) ->
         Harness.banner e;
+        Harness.current := e.Harness.id;
         let t1 = Unix.gettimeofday () in
         e.Harness.run ();
         Printf.printf "(%s elapsed)\n" (Lb_util.Stopwatch.pretty_seconds (Unix.gettimeofday () -. t1)))
@@ -105,5 +106,10 @@ let () =
           exit 1)
     end;
     Printf.printf "\nAll done in %s.\n"
-      (Lb_util.Stopwatch.pretty_seconds (Unix.gettimeofday () -. t0))
+      (Lb_util.Stopwatch.pretty_seconds (Unix.gettimeofday () -. t0));
+    match List.rev !Harness.broken_contracts with
+    | [] -> ()
+    | ids ->
+        Printf.eprintf "contract verdict failed: %s\n" (String.concat ", " ids);
+        exit 1
   end

@@ -1,11 +1,12 @@
-(* The plan compilation tier: lower a WCOJ plan to a monomorphic loop
-   nest over flat int arrays.
+(* The WCOJ executor: lower a plan to a monomorphic loop nest over
+   flat int arrays, then run it on one of three drivers.
 
-   The interpreted engines (Generic_join, Leapfrog) already precompute
-   their participant structure per execution, but they recompute it on
-   every call, thread options through the hot path, and pay a bounds
-   check on every column access.  This module splits the work into the
-   two halves the LogicBlox lineage (Veldhuizen) compiles between:
+   Generic Join and Leapfrog Triejoin are one level-wise intersection
+   skeleton with two intersection primitives; this module states the
+   skeleton once and selects the primitive by the IR's [engine].  The
+   Generic_join and Leapfrog modules are thin facades that lower their
+   query and call the entry points here.  The work splits into the two
+   halves the LogicBlox lineage (Veldhuizen) compiles between:
 
    - [lower] runs once per plan and produces a schema-level IR: for
      each variable of the global order, the flat list of (atom, trie
@@ -14,17 +15,20 @@
      in the server's plan LRU and amortizes across the batch window.
    - [make_mach] runs once per execution and resolves the IR against
      freshly built tries: every (atom, depth) binding becomes a direct
-     pointer to one sorted int column.  The interpreters then run a
-     monomorphic loop nest with [Array.unsafe_get] on the hot path -
-     no closures, no option matches per column access, no Trie module
-     indirection.
+     pointer to one sorted int column.  The loop nest then runs with
+     [Array.unsafe_get] on the hot path - no closures, no option
+     matches per column access, no Trie module indirection.
 
    Contract: answers, work counters (intersections / seeks / emitted)
-   and budget-tick placement are bit-identical to the interpreted
-   engines on every driver - sequential, Domain-parallel and sharded -
-   including the partial counters left behind when a budget fires
-   mid-query.  The differential suite in test/test_compile.ml holds
-   this line; any divergence is a bug in this file.
+   and budget-tick placement are bit-identical across drivers -
+   sequential, Domain-parallel and sharded (including any cover of
+   distributed [subset]s) - and the totals equal the textbook
+   per-level accounting.  After a mid-query budget exhaustion the
+   sequential driver's partial counters are the textbook ones; the
+   Domain-parallel and sharded drivers merge each task's counters only
+   after the fan-out returns, so their partials hold just the work
+   charged before it.  test/test_compile.ml holds this line against an
+   independent sequential reference (test/reference/wcoj_ref.ml).
 
    Depth resolution without tries: an atom's trie levels are its
    distinct attributes (first-appearance order, as Query.bind_atom
@@ -45,8 +49,7 @@ type engine = Generic | Leapfrog
 let engine_name = function Generic -> "generic_join" | Leapfrog -> "leapfrog"
 
 (* [work] counts the engine's unit of intersection effort: enumerated
-   leader keys for Generic, seeks for Leapfrog - the same quantities
-   the interpreted counters track. *)
+   leader keys for Generic, seeks for Leapfrog. *)
 type counters = { mutable work : int; mutable emitted : int }
 
 let fresh_counters () = { work = 0; emitted = 0 }
@@ -150,8 +153,7 @@ let describe ir =
     (Array.length ir.lv_atom)
   :: !lines
 
-(* --- metric names (shared with the interpreted engines, so served
-   counters are indistinguishable) --- *)
+(* --- metric names: the engine's, whichever module is the caller --- *)
 
 let trie_builds_name = function
   | Generic -> "generic_join.trie_builds"
@@ -248,8 +250,7 @@ let mach_of_tries ?budget ir tries =
   }
 
 (* One logical trie build per execution (the unit the server's batch
-   scheduler asserts sharing on), pool-parallel like the interpreted
-   [make_ctx]. *)
+   scheduler asserts sharing on), the atoms' tries built pool-parallel. *)
 let make_mach ?pool ?budget ?(metrics = Metrics.disabled) ir db (q : Query.t) =
   Metrics.incr metrics (trie_builds_name ir.engine);
   let atoms = Array.of_list q in
@@ -270,7 +271,9 @@ let has_empty_atom m =
   Array.iter (fun t -> if Trie.row_count t = 0 then e := true) m.tries;
   !e
 
-(* --- per-domain workspace (same layout as the engines') --- *)
+(* --- per-domain workspace: per-level row ranges (lo, hi per atom,
+   flat), per-level probe cursors, and the assignment parallel to the
+   order --- *)
 
 type ws = {
   stack : int array array;
@@ -295,11 +298,12 @@ let init_root m ws =
 
 (* --- the Generic Join loop nest ---
 
-   Mirrors Generic_join.enumerate step for step (leader = smallest
-   range, first wins; one [c.work] increment and budget tick per
-   enumerated leader key; forward-only probe cursors; early abort on an
-   exhausted stream), with every column access unsafe and the level
-   tables read from the flat slot arrays. *)
+   Per level: the leader is the participant with the smallest range
+   (first wins); one [c.work] increment and budget tick per enumerated
+   leader key; the other participants probe by forward-only galloping
+   cursors, and an exhausted stream aborts the level early.  Every
+   column access is unsafe and the level tables are read from the flat
+   slot arrays. *)
 
 let rec enum_gj m ws c ~level ~stop emit =
   if level >= stop then emit ()
@@ -499,9 +503,10 @@ and enum_gjn m ws c ~level ~stop base np st st' emit =
 
 (* --- the Leapfrog loop nest ---
 
-   Mirrors Leapfrog.enumerate: budget tick per agreed key, one
-   [c.work] increment and tick per lagging-iterator seek with the
-   in-loop [fin] guard. *)
+   Per level the participants' iterators seek to the current maximum
+   key until all agree: a budget tick per agreed key, one [c.work]
+   increment and tick per lagging-iterator seek, with the in-loop [fin]
+   guard that stops seeking once one stream exhausts. *)
 
 let rec enum_lf m ws c ~level ~stop emit =
   if level >= stop then emit ()
@@ -696,29 +701,33 @@ let run_seq m c f =
         f ws.assignment)
   end
 
-(* --- Domain-parallel driver (same task scheme and counter-merge
-   order as the engines') --- *)
+(* --- Domain-parallel driver ---
+
+   The first variable's candidates become tasks: a fully-probed
+   assignment prefix (1 or 2 variables) plus the per-atom ranges after
+   binding it.  Chunks of tasks are claimed dynamically by the pool's
+   domains and per-chunk counters are merged at the end, so totals
+   equal the sequential run's. *)
 
 type task = { plen : int; v0 : int; v1 : int; st : int array }
 
+(* Candidates whose smallest participant range at the next level exceeds
+   this are expanded one level deeper at task-generation time, so one
+   heavy first value (skew) cannot serialize the run. *)
 let split_threshold = 64
 
-let push_task ws tasks n plen =
-  incr n;
-  tasks :=
-    {
-      plen;
-      v0 = ws.assignment.(0);
-      v1 = (if plen > 1 then ws.assignment.(1) else 0);
-      st = Array.copy ws.stack.(plen);
-    }
-    :: !tasks
+let make_task ws plen =
+  {
+    plen;
+    v0 = ws.assignment.(0);
+    v1 = (if plen > 1 then ws.assignment.(1) else 0);
+    st = Array.copy ws.stack.(plen);
+  }
 
 (* Heavy first values (smallest level-1 participant range above the
-   threshold) are expanded one level deeper at discovery time - the
-   interleaving matters, because budget ticks of the level-1 expansion
-   must land between the level-0 candidates exactly as they do in the
-   interpreted gen_tasks. *)
+   threshold) are expanded at discovery time - the interleaving
+   matters, because budget ticks of the level-1 expansion land between
+   the level-0 candidates exactly as a sequential run places them. *)
 let heavy_at_1 m ws =
   m.nvars >= 2
   &&
@@ -733,12 +742,19 @@ let heavy_at_1 m ws =
   done;
   !w > split_threshold
 
+(* Push the task(s) of the candidate bound at level 0 of [ws]. *)
+let push_candidate m ws c push =
+  if heavy_at_1 m ws then
+    enum m ws c ~level:1 ~stop:2 (fun () -> push (make_task ws 2))
+  else push (make_task ws 1)
+
 let gen_tasks m ws c =
   let tasks = ref [] and n = ref 0 in
-  enum m ws c ~level:0 ~stop:1 (fun () ->
-      if heavy_at_1 m ws then
-        enum m ws c ~level:1 ~stop:2 (fun () -> push_task ws tasks n 2)
-      else push_task ws tasks n 1);
+  let push t =
+    incr n;
+    tasks := t :: !tasks
+  in
+  enum m ws c ~level:0 ~stop:1 (fun () -> push_candidate m ws c push);
   (!n, Array.of_list (List.rev !tasks))
 
 let run_task m ws ck t ~consume acc =
@@ -748,6 +764,13 @@ let run_task m ws ck t ~consume acc =
   enum m ws ck ~level:t.plen ~stop:m.nvars (fun () ->
       ck.emitted <- ck.emitted + 1;
       consume acc ws.assignment)
+
+let merge_counters c ctrs =
+  Array.iter
+    (fun ck ->
+      c.work <- c.work + ck.work;
+      c.emitted <- c.emitted + ck.emitted)
+    ctrs
 
 let run_par m pool c ~make_acc ~consume =
   let gws = make_ws m in
@@ -764,20 +787,37 @@ let run_par m pool c ~make_acc ~consume =
       for ti = k * per_chunk to t1 - 1 do
         run_task m ws ck tasks.(ti) ~consume acc
       done);
-  Array.iter
-    (fun ck ->
-      c.work <- c.work + ck.work;
-      c.emitted <- c.emitted + ck.emitted)
-    ctrs;
+  merge_counters c ctrs;
   accs
 
+(* Parallel execution pays off only past the first variable; trivial
+   shapes and a size-1 pool run sequentially. *)
 let pool_applies m = function
   | Some p when Pool.size p > 1 && m.nvars >= 2 -> Some p
   | _ -> None
 
+(* --- accumulators shared by the counting and materializing entry
+   points --- *)
+
+let new_count () = ref 0
+
+let tally r _ = incr r
+
+let count_of accs = Array.fold_left (fun n r -> n + !r) 0 accs
+
+let new_rows () = ref []
+
+let keep r a = r := Array.copy a :: !r
+
+let rows_of = function
+  | [| r |] -> !r
+  | accs -> Array.fold_left (fun acc r -> List.rev_append !r acc) [] accs
+
 (* --- public unsharded entry points --- *)
 
-let count ?counters ?ctx ir db q =
+(* Domain-parallel when [ctx]'s pool applies, sequential otherwise;
+   returns the per-chunk accumulators. *)
+let drive ?counters ?ctx ir db q ~make_acc ~consume =
   let ex = Exec.resolve ?ctx () in
   let c = match counters with Some c -> c | None -> fresh_counters () in
   let m =
@@ -786,55 +826,68 @@ let count ?counters ?ctx ir db q =
   in
   with_metrics ir.engine ex.Exec.metrics c @@ fun () ->
   match pool_applies m ex.Exec.pool with
-  | Some p when not (has_empty_atom m) ->
-      let accs =
-        run_par m p c ~make_acc:(fun () -> ref 0) ~consume:(fun r _ -> incr r)
-      in
-      Array.fold_left (fun acc r -> acc + !r) 0 accs
+  | Some p when not (has_empty_atom m) -> run_par m p c ~make_acc ~consume
   | _ ->
-      let n = ref 0 in
-      run_seq m c (fun _ -> incr n);
-      !n
+      let acc = make_acc () in
+      run_seq m c (consume acc);
+      [| acc |]
+
+let count ?counters ?ctx ir db q =
+  count_of (drive ?counters ?ctx ir db q ~make_acc:new_count ~consume:tally)
 
 let count_bounded ?counters ?ctx ir db q =
   Budget.protect (fun () -> count ?counters ?ctx ir db q)
 
 let answer ?ctx ir db q =
+  Relation.make ir.order
+    (rows_of (drive ?ctx ir db q ~make_acc:new_rows ~consume:keep))
+
+(* Sequential, the assignment array reused between calls. *)
+let iter ?counters ?ctx ir db q f =
   let ex = Exec.resolve ?ctx () in
-  let c = fresh_counters () in
-  let m =
-    make_mach ?pool:ex.Exec.pool ?budget:ex.Exec.budget
-      ~metrics:ex.Exec.metrics ir db q
-  in
-  let rows =
-    with_metrics ir.engine ex.Exec.metrics c @@ fun () ->
-    match pool_applies m ex.Exec.pool with
-    | Some p when not (has_empty_atom m) ->
-        let accs =
-          run_par m p c
-            ~make_acc:(fun () -> ref [])
-            ~consume:(fun r a -> r := Array.copy a :: !r)
-        in
-        Array.fold_left (fun acc r -> List.rev_append !r acc) [] accs
-    | _ ->
-        let acc = ref [] in
-        run_seq m c (fun a -> acc := Array.copy a :: !acc);
-        !acc
-  in
-  Relation.make ir.order rows
+  let c = match counters with Some c -> c | None -> fresh_counters () in
+  with_metrics ir.engine ex.Exec.metrics c (fun () ->
+      run_seq
+        (make_mach ?budget:ex.Exec.budget ~metrics:ex.Exec.metrics ir db q)
+        c f)
+
+exception Found
+
+(* Boolean: stop at the first answer (no metrics are reported). *)
+let exists ?ctx ir db q =
+  let ex = Exec.resolve ?ctx () in
+  let m = make_mach ?budget:ex.Exec.budget ir db q in
+  try
+    run_seq m (fresh_counters ()) (fun _ -> raise Found);
+    false
+  with Found -> true
 
 (* --- sharded driver ---
 
-   The structure replicates the engines' sharded tier: per-shard
-   machines over a Shard.view, the level-0 loop emulated over merged
-   per-shard key streams (every level-0 binding has trie depth 0, since
-   order.(0) holds the smallest order position), surviving candidates
-   routed to shard [Shard.shard_of v] whose subtree under v is
-   content-identical to the unsharded trie's.  Counter increments and
-   budget ticks land at exactly the interpreted points. *)
+   Per-shard machines over a Shard.view: shard [s] sees its own tries
+   for the partitioned atoms and a shared trie for the whole ones.  The
+   level-0 loop cannot run inside any single shard - the leader choice,
+   the probe outcomes and the early abort all depend on the full key
+   streams - so it is emulated over Shard.Stream views that merge the k
+   shard columns of each participant (every level-0 binding has trie
+   depth 0, since order.(0) holds the smallest order position).  Every
+   surviving candidate x=v is routed to shard [Shard.shard_of v], whose
+   subtree under v is content-identical to the unsharded trie's, so
+   per-candidate work, counters and budget ticks replicate the
+   unsharded run. *)
 
-let make_shard_machs ?pool ?budget ~metrics ir (view : Shard.view) =
-  Metrics.incr metrics (trie_builds_name ir.engine);
+(* A distributed participant executes only a subset of the shards:
+   [owned s] says whether this process runs (and counts) shard [s]'s
+   deep-level work, and exactly one participant is the [lead], which
+   accounts the level-0 stream emulation and the logical trie build.
+   Summing the counters reported by a full cover of participants
+   reproduces the single-process sharded totals bit for bit. *)
+type subset = { owned : int -> bool; lead : bool }
+
+let all_shards = { owned = (fun _ -> true); lead = true }
+
+let make_shard_machs ?pool ?budget ~lead ~metrics ir (view : Shard.view) =
+  if lead then Metrics.incr metrics (trie_builds_name ir.engine);
   let k = view.Shard.k in
   let parts = view.Shard.parts in
   let natoms = Array.length parts in
@@ -867,6 +920,8 @@ let make_shard_machs ?pool ?budget ~metrics ir (view : Shard.view) =
       mach_of_tries ?budget ir
         (Array.init natoms (fun i -> Option.get out.(i).(s))))
 
+(* Any atom globally empty (all its shards empty) means no answers and,
+   as in the unsharded run, no counting at all. *)
 let sharded_empty machs =
   let k = Array.length machs and n = machs.(0).natoms in
   let e = ref false in
@@ -879,56 +934,12 @@ let sharded_empty machs =
   done;
   !e
 
-(* Bind candidate v at level 0 of shard s's machine and emit its task,
-   expanding heavy candidates one level deeper (cf. the engines'
-   gen_sharded_tasks). *)
-let route_candidate machs wss tasks counts c v =
-  let k = Array.length machs in
-  let s = Shard.shard_of ~k v in
-  let m = machs.(s) in
-  let ws = wss.(s) in
-  ws.assignment.(0) <- v;
-  let st0 = ws.stack.(0) and st1 = ws.stack.(1) in
-  Array.blit st0 0 st1 0 (2 * m.natoms);
-  let base = m.off.(0) in
-  for j = 0 to m.off.(1) - base - 1 do
-    let i = m.atom.(base + j) in
-    match
-      Trie.narrow m.tries.(i) ~depth:0 ~lo:st0.(2 * i) ~hi:st0.((2 * i) + 1) v
-    with
-    | Some (lo, hi) ->
-        st1.(2 * i) <- lo;
-        st1.((2 * i) + 1) <- hi
-    | None -> assert false (* v present in every participant *)
-  done;
-  let push plen =
-    counts.(s) <- counts.(s) + 1;
-    tasks.(s) <-
-      {
-        plen;
-        v0 = ws.assignment.(0);
-        v1 = (if plen > 1 then ws.assignment.(1) else 0);
-        st = Array.copy ws.stack.(plen);
-      }
-      :: tasks.(s)
-  in
-  if heavy_at_1 m ws then
-    enum m ws c ~level:1 ~stop:2 (fun () -> push 2)
-  else push 1
-
 (* Level-0 Generic Join over the merged streams: leader by smallest
-   total, one work increment and tick per enumerated leader key. *)
-let gen_sharded_tasks_gj machs c =
-  let k = Array.length machs in
-  let m0 = machs.(0) in
-  let base = m0.off.(0) in
-  let np = m0.off.(1) - base in
-  let streams =
-    Array.init np (fun j ->
-        let i = m0.atom.(base + j) in
-        Shard.Stream.make
-          (Array.init k (fun s -> Trie.column machs.(s).tries.(i) 0)))
-  in
+   total (first wins, as on the full root ranges), one work increment
+   and tick per enumerated leader key; [route v] receives every
+   candidate present in all streams. *)
+let level0_gj streams c tick route =
+  let np = Array.length streams in
   let lj = ref 0 and lsize = ref max_int in
   Array.iteri
     (fun j st ->
@@ -939,16 +950,12 @@ let gen_sharded_tasks_gj machs c =
       end)
     streams;
   let lj = !lj in
-  let tasks = Array.make k [] in
-  let counts = Array.make k 0 in
-  let wss = Array.init k (fun s -> make_ws machs.(s)) in
-  Array.iteri (fun s ws -> init_root machs.(s) ws) wss;
   let ls = streams.(lj) in
   let dead = ref false in
   while (not !dead) && not (Shard.Stream.exhausted ls) do
     let v = Shard.Stream.cur ls in
     c.work <- c.work + 1;
-    (match m0.bud with Some b -> Budget.tick b | None -> ());
+    tick ();
     let ok = ref true in
     let j = ref 0 in
     while !ok && !j < np do
@@ -963,32 +970,15 @@ let gen_sharded_tasks_gj machs c =
       end;
       incr j
     done;
-    if !ok then route_candidate machs wss tasks counts c v;
+    if !ok then route v;
     Shard.Stream.advance_gt ls v
-  done;
-  (Array.map (fun l -> Array.of_list (List.rev l)) tasks, counts)
+  done
 
 (* Level-0 leapfrog over the merged streams: tick per agreed key, work
    increment and tick per lagging seek with the in-loop fin guard. *)
-let gen_sharded_tasks_lf machs c =
-  let k = Array.length machs in
-  let m0 = machs.(0) in
-  let base = m0.off.(0) in
-  let np = m0.off.(1) - base in
-  let streams =
-    Array.init np (fun j ->
-        let i = m0.atom.(base + j) in
-        Shard.Stream.make
-          (Array.init k (fun s -> Trie.column machs.(s).tries.(i) 0)))
-  in
-  let tasks = Array.make k [] in
-  let counts = Array.make k 0 in
-  let wss = Array.init k (fun s -> make_ws machs.(s)) in
-  Array.iteri (fun s ws -> init_root machs.(s) ws) wss;
-  let fin = ref false in
-  Array.iter
-    (fun st -> if Shard.Stream.exhausted st then fin := true)
-    streams;
+let level0_lf streams c tick route =
+  let np = Array.length streams in
+  let fin = ref (Array.exists Shard.Stream.exhausted streams) in
   while not !fin do
     let k0 = Shard.Stream.cur streams.(0) in
     let kmax = ref k0 and kmin = ref k0 in
@@ -999,8 +989,8 @@ let gen_sharded_tasks_lf machs c =
     done;
     if !kmin = !kmax then begin
       let v = !kmin in
-      (match m0.bud with Some b -> Budget.tick b | None -> ());
-      route_candidate machs wss tasks counts c v;
+      tick ();
+      route v;
       Array.iter
         (fun st ->
           Shard.Stream.advance_gt st v;
@@ -1012,22 +1002,77 @@ let gen_sharded_tasks_lf machs c =
       for j = 0 to np - 1 do
         if (not !fin) && Shard.Stream.cur streams.(j) < mx then begin
           c.work <- c.work + 1;
-          (match m0.bud with Some b -> Budget.tick b | None -> ());
+          tick ();
           Shard.Stream.seek_geq streams.(j) mx;
           if Shard.Stream.exhausted streams.(j) then fin := true
         end
       done
     end
-  done;
+  done
+
+(* The level-0 emulation plus routing: each owned candidate v is bound
+   at level 0 of shard [shard_of v]'s machine and its task(s) pushed
+   there, heavy candidates expanding one level deeper inside the shard
+   as [gen_tasks] does.  Level-0 accounting belongs to the lead alone;
+   everyone else replays the identical stream walk against a scratch
+   counter (the walk itself is required: probe outcomes and the early
+   abort decide which candidates exist at all). *)
+let gen_sharded_tasks machs c ~sub =
+  let k = Array.length machs in
+  let m0 = machs.(0) in
+  let c0 = if sub.lead then c else fresh_counters () in
+  let tick () =
+    match m0.bud with Some b when sub.lead -> Budget.tick b | _ -> ()
+  in
+  let base = m0.off.(0) in
+  let streams =
+    Array.init
+      (m0.off.(1) - base)
+      (fun j ->
+        let i = m0.atom.(base + j) in
+        Shard.Stream.make
+          (Array.init k (fun s -> Trie.column machs.(s).tries.(i) 0)))
+  in
+  let tasks = Array.make k [] in
+  let counts = Array.make k 0 in
+  let wss =
+    Array.init k (fun s ->
+        let ws = make_ws machs.(s) in
+        init_root machs.(s) ws;
+        ws)
+  in
+  let route v =
+    let s = Shard.shard_of ~k v in
+    if sub.owned s then begin
+      let m = machs.(s) and ws = wss.(s) in
+      ws.assignment.(0) <- v;
+      let st0 = ws.stack.(0) and st1 = ws.stack.(1) in
+      Array.blit st0 0 st1 0 (2 * m.natoms);
+      for j = 0 to m.off.(1) - base - 1 do
+        let i = m.atom.(base + j) in
+        match
+          Trie.narrow m.tries.(i) ~depth:0 ~lo:st0.(2 * i)
+            ~hi:st0.((2 * i) + 1) v
+        with
+        | Some (lo, hi) ->
+            st1.(2 * i) <- lo;
+            st1.((2 * i) + 1) <- hi
+        | None -> assert false (* v present in every participant *)
+      done;
+      push_candidate m ws c (fun t ->
+          counts.(s) <- counts.(s) + 1;
+          tasks.(s) <- t :: tasks.(s))
+    end
+  in
+  (match m0.eng with
+  | Generic -> level0_gj streams c0 tick route
+  | Leapfrog -> level0_lf streams c0 tick route);
   (Array.map (fun l -> Array.of_list (List.rev l)) tasks, counts)
 
-let gen_sharded_tasks machs c =
-  match machs.(0).eng with
-  | Generic -> gen_sharded_tasks_gj machs c
-  | Leapfrog -> gen_sharded_tasks_lf machs c
-
-(* 2x-mean skew split into execution units, merged in (shard, offset)
-   order - identical to the engines'. *)
+(* Skew fallback: shard task lists exceeding 2x the mean are halved
+   recursively into execution units, so one hot shard cannot serialize
+   the pool.  Units are ordered by (shard, offset); merging per-unit
+   counters in that order keeps totals deterministic. *)
 type exec_unit = { shard : int; t0 : int; t1 : int }
 
 let units_of counts =
@@ -1069,25 +1114,22 @@ let run_units machs (tasks : task array array) units pool c ~make_acc ~consume
       for u = 0 to nu - 1 do
         body u
       done);
-  Array.iter
-    (fun ck ->
-      c.work <- c.work + ck.work;
-      c.emitted <- c.emitted + ck.emitted)
-    ctrs;
+  merge_counters c ctrs;
   accs
 
-let sharded_drive ?counters ?ctx ?partition ?view ~shards ir db q ~make_acc
-    ~consume =
+let sharded_drive ?counters ?ctx ?partition ?view ?(subset = all_shards)
+    ~shards ir db q ~make_acc ~consume =
   if shards < 1 then invalid_arg "Compile.run_sharded: shards < 1";
   let ex = Exec.resolve ?ctx () in
   let c = match counters with Some c -> c | None -> fresh_counters () in
   with_metrics ir.engine ex.Exec.metrics c @@ fun () ->
   if ir.nvars = 0 then begin
+    (* no variable to partition on: the unsharded run is the story *)
     let m =
       make_mach ?budget:ex.Exec.budget ~metrics:ex.Exec.metrics ir db q
     in
     let acc = make_acc () in
-    run_seq m c (fun a -> consume acc a);
+    run_seq m c (consume acc);
     [| acc |]
   end
   else begin
@@ -1103,29 +1145,69 @@ let sharded_drive ?counters ?ctx ?partition ?view ~shards ir db q ~make_acc
     in
     let machs =
       make_shard_machs ?pool:ex.Exec.pool ?budget:ex.Exec.budget
-        ~metrics:ex.Exec.metrics ir view
+        ~lead:subset.lead ~metrics:ex.Exec.metrics ir view
     in
     if sharded_empty machs then [| make_acc () |]
     else begin
-      let tasks, counts = gen_sharded_tasks machs c in
+      let tasks, counts = gen_sharded_tasks machs c ~sub:subset in
       let units = units_of counts in
       run_units machs tasks units ex.Exec.pool c ~make_acc ~consume
     end
   end
 
-let count_sharded ?counters ?ctx ?partition ?view ~shards ir db q =
-  let accs =
-    sharded_drive ?counters ?ctx ?partition ?view ~shards ir db q
-      ~make_acc:(fun () -> ref 0)
-      ~consume:(fun r _ -> incr r)
-  in
-  Array.fold_left (fun acc r -> acc + !r) 0 accs
+let count_sharded ?counters ?ctx ?partition ?view ?subset ~shards ir db q =
+  count_of
+    (sharded_drive ?counters ?ctx ?partition ?view ?subset ~shards ir db q
+       ~make_acc:new_count ~consume:tally)
 
-let run_sharded ?counters ?ctx ?partition ?view ~shards ir db q =
-  let accs =
-    sharded_drive ?counters ?ctx ?partition ?view ~shards ir db q
-      ~make_acc:(fun () -> ref [])
-      ~consume:(fun r a -> r := Array.copy a :: !r)
-  in
+let run_sharded ?counters ?ctx ?partition ?view ?subset ~shards ir db q =
   Relation.make ir.order
-    (Array.fold_left (fun acc r -> List.rev_append !r acc) [] accs)
+    (rows_of
+       (sharded_drive ?counters ?ctx ?partition ?view ?subset ~shards ir db q
+          ~make_acc:new_rows ~consume:keep))
+
+(* --- engine facades: lower against the caller's order, run, and add
+   the executor's counters to the caller's record under the engine's
+   names - also when a budget cuts the run short --- *)
+
+module type ENGINE = sig
+  type counters
+
+  val engine : engine
+  val add : counters -> work:int -> emitted:int -> unit
+end
+
+module Facade (E : ENGINE) = struct
+  let lower ?order q = lower ~engine:E.engine ?order q
+
+  let counted counters f =
+    let cc = fresh_counters () in
+    Fun.protect
+      ~finally:(fun () ->
+        Option.iter (fun c -> E.add c ~work:cc.work ~emitted:cc.emitted) counters)
+      (fun () -> f cc)
+
+  let iter ?order ?counters ?ctx db q f =
+    counted counters (fun counters -> iter ~counters ?ctx (lower ?order q) db q f)
+
+  let answer ?order ?ctx db q = answer ?ctx (lower ?order q) db q
+
+  let count ?order ?counters ?ctx db q =
+    counted counters (fun counters -> count ~counters ?ctx (lower ?order q) db q)
+
+  let count_bounded ?order ?counters ?ctx db q =
+    Budget.protect (fun () -> count ?order ?counters ?ctx db q)
+
+  let exists ?order ?ctx db q = exists ?ctx (lower ?order q) db q
+
+  let run_sharded ?order ?counters ?ctx ?partition ?view ?subset ~shards db q =
+    counted counters (fun counters ->
+        run_sharded ~counters ?ctx ?partition ?view ?subset ~shards
+          (lower ?order q) db q)
+
+  let count_sharded ?order ?counters ?ctx ?partition ?view ?subset ~shards db
+      q =
+    counted counters (fun counters ->
+        count_sharded ~counters ?ctx ?partition ?view ?subset ~shards
+          (lower ?order q) db q)
+end

@@ -17,9 +17,7 @@
    This is how bounded-fhw classes of cyclic queries are evaluated in
    polynomial time - strictly more than bounded treewidth, strictly more
    than acyclicity.  The serve-tier planner routes through here when
-   fhw beats rho*; [~compile] reuses the compiled loop-nest tier for
-   the per-bag WCOJ (bit-identical to the interpreted path, falling
-   back on queries the lowerer refuses). *)
+   fhw beats rho*; each bag's WCOJ runs on the Compile executor. *)
 
 module Td = Lb_graph.Tree_decomposition
 module Exec = Lb_util.Exec
@@ -36,17 +34,7 @@ let default_decomposition (q : Query.t) =
   let _, order, _ = Lb_graph.Treewidth.best_effort g in
   Td.of_elimination_order g order
 
-(* WCOJ on the temporary per-bag database: the compiled loop nest when
-   asked (same answers, counters and ticks as interpreted Generic
-   Join), the interpreter otherwise or when lowering refuses. *)
-let wcoj ?ctx ~compile db q =
-  if compile then
-    match Compile.lower ~engine:Compile.Generic q with
-    | ir -> Compile.answer ?ctx ir db q
-    | exception Invalid_argument _ -> Generic_join.answer ?ctx db q
-  else Generic_join.answer ?ctx db q
-
-let bag_relation ?ctx ?(compile = false) db (q : Query.t) attrs_of_query bag =
+let bag_relation ?ctx db (q : Query.t) attrs_of_query bag =
   (* attributes of this bag *)
   let bag_attrs = Array.map (fun v -> attrs_of_query.(v)) bag in
   let in_bag a = Array.exists (( = ) a) bag_attrs in
@@ -65,7 +53,7 @@ let bag_relation ?ctx ?(compile = false) db (q : Query.t) attrs_of_query bag =
   (* worst-case-optimal join of the parts via Generic Join on a
      temporary database; attributes not covered by any part cannot occur
      (the bag machinery only creates bags from primal cliques, whose
-     vertices all lie in atoms) *)
+     vertices all lie in atoms), so lowering cannot refuse *)
   match parts with
   | [] -> Relation.make bag_attrs [ Array.map (fun _ -> 0) bag_attrs ]
   | _ ->
@@ -78,14 +66,16 @@ let bag_relation ?ctx ?(compile = false) db (q : Query.t) attrs_of_query bag =
               i + 1 ))
           (Database.empty, [], 0) parts
       in
-      wcoj ?ctx ~compile tmp_db (List.rev tmp_q)
+      let tmp_q = List.rev tmp_q in
+      Compile.answer ?ctx (Compile.lower ~engine:Compile.Generic tmp_q) tmp_db
+        tmp_q
 
 (* Materialize every bag, recording the deterministic per-bag counters
    ([decomposed_join.bags] / [decomposed_join.bag_tuples]). *)
-let materialize_bags ex ~compile db q attrs bags =
+let materialize_bags ex db q attrs bags =
   Array.map
     (fun bag ->
-      let rel = bag_relation ~ctx:ex ~compile db q attrs bag in
+      let rel = bag_relation ~ctx:ex db q attrs bag in
       Metrics.incr ex.Exec.metrics "decomposed_join.bags";
       Metrics.add ex.Exec.metrics "decomposed_join.bag_tuples"
         (Relation.cardinality rel);
@@ -104,7 +94,7 @@ let bag_query bag_rels =
   in
   (bag_db, List.rev bag_q)
 
-let answer ?ctx ?(compile = false) ?decomposition db (q : Query.t) =
+let answer ?ctx ?compile:_ ?decomposition db (q : Query.t) =
   match q with
   | [] -> (Relation.make [||] [ [||] ], { width = -1; max_bag_tuples = 1 })
   | _ ->
@@ -116,7 +106,7 @@ let answer ?ctx ?(compile = false) ?decomposition db (q : Query.t) =
       in
       let attrs = Query.attributes q in
       let bags = Td.bags td in
-      let bag_rels = materialize_bags ex ~compile db q attrs bags in
+      let bag_rels = materialize_bags ex db q attrs bags in
       let max_bag =
         Array.fold_left (fun acc r -> max acc (Relation.cardinality r)) 0 bag_rels
       in
@@ -126,7 +116,7 @@ let answer ?ctx ?(compile = false) ?decomposition db (q : Query.t) =
       (result, { width = Td.width td; max_bag_tuples = max_bag })
 
 (* Boolean variant: bag materialization + the semijoin-only reducer. *)
-let boolean_answer ?ctx ?(compile = false) ?decomposition db (q : Query.t) =
+let boolean_answer ?ctx ?decomposition db (q : Query.t) =
   match q with
   | [] -> true
   | _ ->
@@ -137,6 +127,6 @@ let boolean_answer ?ctx ?(compile = false) ?decomposition db (q : Query.t) =
         | None -> default_decomposition q
       in
       let attrs = Query.attributes q in
-      let bag_rels = materialize_bags ex ~compile db q attrs (Td.bags td) in
+      let bag_rels = materialize_bags ex db q attrs (Td.bags td) in
       let bag_db, bag_q = bag_query bag_rels in
       Yannakakis.boolean_answer ~ctx:ex bag_db bag_q

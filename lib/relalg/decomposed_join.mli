@@ -8,10 +8,8 @@
     The planner's decomposition route runs through {!answer}: [ctx]
     governs every bag join and the final Yannakakis pass (budget ticks
     at the engines' usual charging points, [decomposed_join.bags] /
-    [decomposed_join.bag_tuples] counters plus the engines' own), and
-    [~compile:true] lowers each bag's WCOJ through {!Compile}
-    (bit-identical to the interpreted path; queries the lowerer
-    refuses fall back silently). *)
+    [decomposed_join.bag_tuples] counters plus Generic Join's own); each
+    bag's WCOJ runs on the {!Compile} executor. *)
 
 type stats = {
   width : int;  (** bag size - 1 of the decomposition used *)
@@ -26,14 +24,17 @@ val default_decomposition : Query.t -> Lb_graph.Tree_decomposition.t
     intersecting it, each projected to the bag. *)
 val bag_relation :
   ?ctx:Lb_util.Exec.t ->
-  ?compile:bool ->
   Database.t ->
   Query.t ->
   string array ->
   int array ->
   Relation.t
 
-(** Full answer plus bag statistics. *)
+(** Full answer plus bag statistics.  [?compile] has no effect: every
+    bag runs on the {!Compile} executor.  The label is kept so that
+    callers written when the compiled and interpreted bag joins were
+    separate paths (the served-traffic benchmark's replica among them)
+    still compile. *)
 val answer :
   ?ctx:Lb_util.Exec.t ->
   ?compile:bool ->
@@ -45,7 +46,6 @@ val answer :
 (** Boolean answer: bag materialization + the semijoin reducer only. *)
 val boolean_answer :
   ?ctx:Lb_util.Exec.t ->
-  ?compile:bool ->
   ?decomposition:Lb_graph.Tree_decomposition.t ->
   Database.t ->
   Query.t ->

@@ -1,665 +1,25 @@
-(* Generic Join (Ngo-Porat-Re-Rudra), Theorem 3.3.
-
-   Variables are processed in a global order.  At each variable, the
-   candidate values are the intersection of the matching value sets of
-   every atom containing that variable, computed by enumerating the
-   smallest set and probing the others - the intersection cost is
-   proportional to the smallest set, which is the crux of the
-   O(N^{rho*}) bound.
-
-   Engine layout (the hot path is deliberately allocation-free):
-
-   - Atoms are columnar tries (Trie).  Which atoms participate at each
-     level, and which trie column they expose there, depends only on the
-     schema and the variable order, so both are precomputed into [ctx].
-   - Per-atom state is just a row range (lo, hi); the ranges live in a
-     preallocated stack of flat int arrays, one row per level.
-   - The leader's keys are enumerated in ascending order, so every
-     non-leader keeps a cursor and probes by galloping search from it:
-     total probe cost per level is amortized linear in the ranges
-     scanned, and an exhausted cursor aborts the whole level early.
-
-   An optional [?pool] (Lb_util.Pool) runs [count] and [answer] in
-   parallel: the first variable's candidates are materialized as tasks
-   (heavy candidates are split one level deeper to defuse skew), chunks
-   of tasks are claimed dynamically by the pool's domains, and per-chunk
-   counters and accumulators are merged at the end - so parallel runs
-   produce identical answers and counter totals to sequential ones. *)
-
-module Pool = Lb_util.Pool
-module Budget = Lb_util.Budget
-module Metrics = Lb_util.Metrics
-module Exec = Lb_util.Exec
-module Column = Lb_util.Column
+(* Generic Join (Ngo-Porat-Re-Rudra), Theorem 3.3: a facade over the
+   Compile executor.  Each entry point lowers the query against its
+   variable order and runs the Generic Join loop nest; the counters are
+   reported under this engine's names ([intersections] = enumerated
+   leader keys). *)
 
 type counters = { mutable intersections : int; mutable emitted : int }
 
 let fresh_counters () = { intersections = 0; emitted = 0 }
 
-(* --- precomputed join context --- *)
+include Compile.Facade (struct
+  type nonrec counters = counters
 
-type ctx = {
-  tries : Trie.t array;
-  nvars : int;
-  natoms : int;
-  participants : int array array;
-      (* participants.(l): atoms whose schema contains order.(l) *)
-  pcols : Column.t array array;
-      (* pcols.(l).(j): the trie column of participants.(l).(j) at the
-         depth it has reached when level l is processed *)
-  bud : Budget.t option;
-      (* ticked once per enumerated leader key; shared across domains
-         in parallel runs (cooperative, so tick totals may undercount
-         under races - exhaustion still fires promptly on every
-         domain) *)
-}
+  let engine = Compile.Generic
 
-(* Schema-driven part of the context; shared by the unsharded builder
-   and the per-shard builders (a shard's tries expose the same schema,
-   so the participant structure is identical). *)
-let ctx_of_tries ?budget ~order tries =
-  let natoms = Array.length tries in
-  let nvars = Array.length order in
-  let participants = Array.make nvars [||] in
-  let pcols = Array.make nvars [||] in
-  for l = 0 to nvars - 1 do
-    let var = order.(l) in
-    let ids = ref [] in
-    for i = natoms - 1 downto 0 do
-      let ats = Trie.attrs tries.(i) in
-      for d = 0 to Array.length ats - 1 do
-        if ats.(d) = var then ids := (i, d) :: !ids
-      done
-    done;
-    participants.(l) <- Array.of_list (List.map fst !ids);
-    pcols.(l) <-
-      Array.of_list (List.map (fun (i, d) -> Trie.column tries.(i) d) !ids)
-  done;
-  { tries; nvars; natoms; participants; pcols; bud = budget }
+  let add c ~work ~emitted =
+    c.intersections <- c.intersections + work;
+    c.emitted <- c.emitted + emitted
+end)
 
-let make_ctx ?pool ?budget ?(metrics = Metrics.disabled) ~order db
-    (q : Query.t) =
-  (* one logical build per execution, whatever the atom count - the unit
-     the server's batch scheduler asserts sharing on *)
-  Metrics.incr metrics "generic_join.trie_builds";
-  let atoms = Array.of_list q in
-  let natoms = Array.length atoms in
-  let build i = Trie.build ~order (Query.bind_atom db atoms.(i)) in
-  let tries =
-    match pool with
-    | Some p when Pool.size p > 1 && natoms > 1 ->
-        let out = Array.make natoms None in
-        Pool.run p ~chunks:natoms (fun i -> out.(i) <- Some (build i));
-        Array.map Option.get out
-    | _ -> Array.init natoms build
-  in
-  ctx_of_tries ?budget ~order tries
+exception Found = Compile.Found
 
-let has_empty_atom ctx =
-  let e = ref false in
-  Array.iter (fun t -> if Trie.row_count t = 0 then e := true) ctx.tries;
-  !e
+type subset = Compile.subset = { owned : int -> bool; lead : bool }
 
-(* --- per-domain workspace --- *)
-
-type ws = {
-  stack : int array array; (* stack.(level): lo, hi per atom, flat *)
-  cursors : int array array; (* cursors.(level): probe cursor per participant *)
-  assignment : int array; (* parallel to the variable order *)
-}
-
-let make_ws ctx =
-  {
-    stack =
-      Array.init (ctx.nvars + 1) (fun _ -> Array.make (max 1 (2 * ctx.natoms)) 0);
-    cursors = Array.init (max 1 ctx.nvars) (fun _ -> Array.make (max 1 ctx.natoms) 0);
-    assignment = Array.make (max 1 ctx.nvars) 0;
-  }
-
-let init_root ctx ws =
-  let st = ws.stack.(0) in
-  for i = 0 to ctx.natoms - 1 do
-    st.(2 * i) <- 0;
-    st.(2 * i + 1) <- Trie.row_count ctx.tries.(i)
-  done
-
-(* Enumerate all extensions of the current partial assignment from
-   [level] up to [stop]; [on_leaf] fires with [ws] holding a complete
-   prefix of length [stop].  [c.intersections] counts enumerated leader
-   keys, as in the textbook cost accounting. *)
-let rec enumerate ctx ws c ~level ~stop on_leaf =
-  if level >= stop then on_leaf ()
-  else begin
-    let ps = ctx.participants.(level) in
-    let np = Array.length ps in
-    if np = 0 then invalid_arg "Generic_join: variable missing from all atoms";
-    let cols = ctx.pcols.(level) in
-    let st = ws.stack.(level) and st' = ws.stack.(level + 1) in
-    Array.blit st 0 st' 0 (2 * ctx.natoms);
-    (* leader: the participant with the smallest current range *)
-    let lj = ref 0 and lsize = ref max_int in
-    for j = 0 to np - 1 do
-      let i = ps.(j) in
-      let s = st.(2 * i + 1) - st.(2 * i) in
-      if s < !lsize then begin
-        lsize := s;
-        lj := j
-      end
-    done;
-    let lj = !lj in
-    let leader = ps.(lj) in
-    let lcol = cols.(lj) in
-    let lhi = st.(2 * leader + 1) in
-    let cur = ws.cursors.(level) in
-    for j = 0 to np - 1 do
-      cur.(j) <- st.(2 * ps.(j))
-    done;
-    let pos = ref st.(2 * leader) in
-    let dead = ref false in
-    while (not !dead) && !pos < lhi do
-      let v = Column.unsafe_get lcol !pos in
-      let e = Trie.gallop_gt lcol !pos lhi v in
-      c.intersections <- c.intersections + 1;
-      (match ctx.bud with Some b -> Budget.tick b | None -> ());
-      (* probe the other participants, galloping from their cursors;
-         leader keys ascend, so cursors only move forward *)
-      let ok = ref true in
-      let j = ref 0 in
-      while !ok && !j < np do
-        if !j <> lj then begin
-          let i = ps.(!j) in
-          let col = cols.(!j) in
-          let hi = st.(2 * i + 1) in
-          let p = Trie.gallop_geq col cur.(!j) hi v in
-          cur.(!j) <- p;
-          if p >= hi then begin
-            (* this stream is exhausted: no later leader key matches *)
-            ok := false;
-            dead := true
-          end
-          else if Column.unsafe_get col p <> v then ok := false
-          else begin
-            st'.(2 * i) <- p;
-            st'.(2 * i + 1) <- Trie.gallop_gt col p hi v
-          end
-        end;
-        incr j
-      done;
-      if !ok then begin
-        st'.(2 * leader) <- !pos;
-        st'.(2 * leader + 1) <- e;
-        ws.assignment.(level) <- v;
-        enumerate ctx ws c ~level:(level + 1) ~stop on_leaf
-      end;
-      pos := e
-    done
-  end
-
-(* --- sequential driver --- *)
-
-let run_seq ctx c f =
-  if not (has_empty_atom ctx) then begin
-    let ws = make_ws ctx in
-    init_root ctx ws;
-    enumerate ctx ws c ~level:0 ~stop:ctx.nvars (fun () ->
-        c.emitted <- c.emitted + 1;
-        f ws.assignment)
-  end
-
-(* Record the per-call counter deltas into a metrics sink - also when a
-   budget cuts the run short, so partial work is still attributed. *)
-let with_metrics metrics c f =
-  let i0 = c.intersections and e0 = c.emitted in
-  Fun.protect
-    ~finally:(fun () ->
-      Metrics.add metrics "generic_join.intersections" (c.intersections - i0);
-      Metrics.add metrics "generic_join.emitted" (c.emitted - e0))
-    f
-
-(* Iterate all answers; [f] receives the assignment in global-order
-   (parallel to [order]).  The array is reused between calls. *)
-let iter ?order ?counters ?ctx db (q : Query.t) f =
-  let ex = Exec.resolve ?ctx () in
-  let order = match order with Some o -> o | None -> Query.attributes q in
-  let c = match counters with Some c -> c | None -> fresh_counters () in
-  with_metrics ex.Exec.metrics c (fun () ->
-      run_seq
-        (make_ctx ?budget:ex.Exec.budget ~metrics:ex.Exec.metrics ~order db q)
-        c f)
-
-(* --- parallel driver --- *)
-
-(* A task is a fully-probed assignment prefix (1 or 2 variables) plus
-   the per-atom ranges after binding it. *)
-type task = { plen : int; v0 : int; v1 : int; st : int array }
-
-(* Candidates whose smallest participant range at the next level exceeds
-   this are expanded one level deeper at task-generation time, so one
-   heavy first value (skew) cannot serialize the run. *)
-let split_threshold = 64
-
-let gen_tasks ctx ws c =
-  let tasks = ref [] and n = ref 0 in
-  let push plen =
-    incr n;
-    tasks :=
-      {
-        plen;
-        v0 = ws.assignment.(0);
-        v1 = (if plen > 1 then ws.assignment.(1) else 0);
-        st = Array.copy ws.stack.(plen);
-      }
-      :: !tasks
-  in
-  enumerate ctx ws c ~level:0 ~stop:1 (fun () ->
-      let heavy =
-        ctx.nvars >= 2
-        &&
-        let ps = ctx.participants.(1) in
-        let st = ws.stack.(1) in
-        let w = ref max_int in
-        Array.iter
-          (fun i ->
-            let s = st.((2 * i) + 1) - st.(2 * i) in
-            if s < !w then w := s)
-          ps;
-        !w > split_threshold
-      in
-      if heavy then enumerate ctx ws c ~level:1 ~stop:2 (fun () -> push 2)
-      else push 1);
-  (!n, Array.of_list (List.rev !tasks))
-
-(* Run the whole join on [pool]; per-chunk accumulators are created with
-   [make_acc] and filled via [consume acc assignment]; returns them. *)
-let run_par ctx pool c ~make_acc ~consume =
-  let gws = make_ws ctx in
-  init_root ctx gws;
-  let ntasks, tasks = gen_tasks ctx gws c in
-  let per_chunk = max 1 (ntasks / (Pool.size pool * 8)) in
-  let nchunks = (ntasks + per_chunk - 1) / per_chunk in
-  let accs = Array.init nchunks (fun _ -> make_acc ()) in
-  let ctrs = Array.init nchunks (fun _ -> fresh_counters ()) in
-  Pool.run pool ~chunks:nchunks (fun k ->
-      let ws = make_ws ctx in
-      let ck = ctrs.(k) and acc = accs.(k) in
-      let t1 = min ntasks ((k + 1) * per_chunk) in
-      for ti = k * per_chunk to t1 - 1 do
-        let t = tasks.(ti) in
-        ws.assignment.(0) <- t.v0;
-        if t.plen > 1 then ws.assignment.(1) <- t.v1;
-        Array.blit t.st 0 ws.stack.(t.plen) 0 (2 * ctx.natoms);
-        enumerate ctx ws ck ~level:t.plen ~stop:ctx.nvars (fun () ->
-            ck.emitted <- ck.emitted + 1;
-            consume acc ws.assignment)
-      done);
-  Array.iter
-    (fun ck ->
-      c.intersections <- c.intersections + ck.intersections;
-      c.emitted <- c.emitted + ck.emitted)
-    ctrs;
-  accs
-
-(* Parallel execution pays off only past the first variable; fall back
-   to the sequential engine for trivial shapes or a size-1 pool. *)
-let pool_applies ctx = function
-  | Some p when Pool.size p > 1 && ctx.nvars >= 2 -> Some p
-  | _ -> None
-
-let count ?order ?counters ?ctx db q =
-  let ex = Exec.resolve ?ctx () in
-  let order = match order with Some o -> o | None -> Query.attributes q in
-  let c = match counters with Some c -> c | None -> fresh_counters () in
-  let ctx =
-    make_ctx ?pool:ex.Exec.pool ?budget:ex.Exec.budget ~metrics:ex.Exec.metrics
-      ~order db q
-  in
-  with_metrics ex.Exec.metrics c @@ fun () ->
-  match pool_applies ctx ex.Exec.pool with
-  | Some p when not (has_empty_atom ctx) ->
-      let accs =
-        run_par ctx p c ~make_acc:(fun () -> ref 0) ~consume:(fun r _ -> incr r)
-      in
-      Array.fold_left (fun acc r -> acc + !r) 0 accs
-  | _ ->
-      let n = ref 0 in
-      run_seq ctx c (fun _ -> incr n);
-      !n
-
-let count_bounded ?order ?counters ?ctx db q =
-  Budget.protect (fun () -> count ?order ?counters ?ctx db q)
-
-let answer ?order ?ctx db q =
-  let ex = Exec.resolve ?ctx () in
-  let order = match order with Some o -> o | None -> Query.attributes q in
-  let c = fresh_counters () in
-  let ctx =
-    make_ctx ?pool:ex.Exec.pool ?budget:ex.Exec.budget ~metrics:ex.Exec.metrics
-      ~order db q
-  in
-  let rows =
-    with_metrics ex.Exec.metrics c @@ fun () ->
-    match pool_applies ctx ex.Exec.pool with
-    | Some p when not (has_empty_atom ctx) ->
-        let accs =
-          run_par ctx p c
-            ~make_acc:(fun () -> ref [])
-            ~consume:(fun r a -> r := Array.copy a :: !r)
-        in
-        Array.fold_left (fun acc r -> List.rev_append !r acc) [] accs
-    | _ ->
-        let acc = ref [] in
-        run_seq ctx c (fun a -> acc := Array.copy a :: !acc);
-        !acc
-  in
-  Relation.make order rows
-
-exception Found
-
-let exists ?order ?ctx db q =
-  let ex = Exec.resolve ?ctx () in
-  let order = match order with Some o -> o | None -> Query.attributes q in
-  let c = fresh_counters () in
-  let ctx = make_ctx ?budget:ex.Exec.budget ~order db q in
-  try
-    run_seq ctx c (fun _ -> raise Found);
-    false
-  with Found -> true
-
-(* --- sharded driver --- *)
-
-(* Execution over a Shard.view: shard [s] sees its own tries for the
-   partitioned atoms and a shared trie for the whole ones.  The level-0
-   loop cannot run inside any single shard - the leader choice, the
-   probe outcomes and the early abort all depend on the full key
-   streams - so it is emulated over Shard.Stream views that merge the k
-   shard columns of each participant.  Every surviving candidate x=v is
-   then routed to shard [shard_of v], where the subtree under v is
-   content-identical to the unsharded trie's (hash partitioning keeps
-   all rows with x=v together and the trie sort is deterministic), so
-   per-candidate work, counters and budget ticks replicate the
-   unsharded run bit-for-bit. *)
-
-(* A distributed participant executes only a subset of the shards:
-   [owned s] says whether this process runs (and counts) shard [s]'s
-   deep-level work, and exactly one participant is the [lead], which
-   accounts the level-0 stream emulation and the logical trie build.
-   Summing the counters reported by a full cover of participants (each
-   shard owned exactly once, one lead) reproduces the single-process
-   sharded totals bit for bit.  [all_shards] is the single-process
-   case: own everything, lead. *)
-type subset = { owned : int -> bool; lead : bool }
-
-let all_shards = { owned = (fun _ -> true); lead = true }
-
-let make_shard_ctxs ?pool ?budget ?(lead = true) ~metrics ~order
-    (view : Shard.view) =
-  if lead then Metrics.incr metrics "generic_join.trie_builds";
-  let k = view.Shard.k in
-  let parts = view.Shard.parts in
-  let natoms = Array.length parts in
-  let out = Array.init natoms (fun _ -> Array.make k None) in
-  let jobs = ref [] in
-  Array.iteri
-    (fun i p ->
-      match p with
-      | Shard.Whole _ -> jobs := (i, -1) :: !jobs
-      | Shard.Parts _ ->
-          for s = k - 1 downto 0 do
-            jobs := (i, s) :: !jobs
-          done)
-    parts;
-  let jobs = Array.of_list !jobs in
-  let build (i, s) =
-    match parts.(i) with
-    | Shard.Whole r ->
-        let t = Trie.build ~order r in
-        for s = 0 to k - 1 do
-          out.(i).(s) <- Some t
-        done
-    | Shard.Parts a -> out.(i).(s) <- Some (Trie.build ~order a.(s))
-  in
-  (match pool with
-  | Some p when Pool.size p > 1 && Array.length jobs > 1 ->
-      Pool.run p ~chunks:(Array.length jobs) (fun j -> build jobs.(j))
-  | _ -> Array.iter build jobs);
-  Array.init k (fun s ->
-      ctx_of_tries ?budget ~order
-        (Array.init natoms (fun i -> Option.get out.(i).(s))))
-
-(* Any atom globally empty (all its shards empty) means no answers and,
-   as in the unsharded run, no counting at all. *)
-let sharded_empty ctxs =
-  let k = Array.length ctxs and n = ctxs.(0).natoms in
-  let e = ref false in
-  for i = 0 to n - 1 do
-    let tot = ref 0 in
-    for s = 0 to k - 1 do
-      tot := !tot + Trie.row_count ctxs.(s).tries.(i)
-    done;
-    if !tot = 0 then e := true
-  done;
-  !e
-
-(* Level-0 emulation: reproduce [enumerate ~level:0]'s exact counter and
-   budget accounting over the merged streams, routing each surviving
-   candidate to its shard's task list (heavy candidates expand one level
-   deeper inside the shard, as gen_tasks does). *)
-let gen_sharded_tasks ctxs c ~sub =
-  (* level-0 accounting belongs to the lead participant alone; everyone
-     else replays the identical stream walk against a scratch counter
-     (the walk itself is required: probe outcomes and the early abort
-     decide which candidates exist at all) *)
-  let c0 = if sub.lead then c else fresh_counters () in
-  let k = Array.length ctxs in
-  let ctx0 = ctxs.(0) in
-  let ps = ctx0.participants.(0) in
-  let np = Array.length ps in
-  if np = 0 then invalid_arg "Generic_join: variable missing from all atoms";
-  let streams =
-    Array.map
-      (fun i ->
-        Shard.Stream.make
-          (Array.init k (fun s -> Trie.column ctxs.(s).tries.(i) 0)))
-      ps
-  in
-  (* leader: smallest total size, first wins - the same choice the
-     unsharded engine makes on the full root ranges *)
-  let lj = ref 0 and lsize = ref max_int in
-  Array.iteri
-    (fun j st ->
-      let s = Shard.Stream.total st in
-      if s < !lsize then begin
-        lsize := s;
-        lj := j
-      end)
-    streams;
-  let lj = !lj in
-  let tasks = Array.make k [] in
-  let counts = Array.make k 0 in
-  let wss = Array.init k (fun s -> make_ws ctxs.(s)) in
-  Array.iteri (fun s ws -> init_root ctxs.(s) ws) wss;
-  let ls = streams.(lj) in
-  let dead = ref false in
-  while (not !dead) && not (Shard.Stream.exhausted ls) do
-    let v = Shard.Stream.cur ls in
-    c0.intersections <- c0.intersections + 1;
-    (match ctx0.bud with Some b when sub.lead -> Budget.tick b | _ -> ());
-    let ok = ref true in
-    let j = ref 0 in
-    while !ok && !j < np do
-      if !j <> lj then begin
-        let st = streams.(!j) in
-        Shard.Stream.seek_geq st v;
-        if Shard.Stream.exhausted st then begin
-          ok := false;
-          dead := true
-        end
-        else if Shard.Stream.cur st <> v then ok := false
-      end;
-      incr j
-    done;
-    if !ok then begin
-      let s = Shard.shard_of ~k v in
-      if not (sub.owned s) then ()
-      else begin
-      let cx = ctxs.(s) in
-      let ws = wss.(s) in
-      ws.assignment.(0) <- v;
-      let st0 = ws.stack.(0) and st1 = ws.stack.(1) in
-      Array.blit st0 0 st1 0 (2 * cx.natoms);
-      Array.iter
-        (fun i ->
-          match
-            Trie.narrow cx.tries.(i) ~depth:0 ~lo:st0.(2 * i)
-              ~hi:st0.((2 * i) + 1) v
-          with
-          | Some (lo, hi) ->
-              st1.(2 * i) <- lo;
-              st1.((2 * i) + 1) <- hi
-          | None -> assert false (* v probed present in every participant *))
-        ps;
-      let push plen =
-        counts.(s) <- counts.(s) + 1;
-        tasks.(s) <-
-          {
-            plen;
-            v0 = ws.assignment.(0);
-            v1 = (if plen > 1 then ws.assignment.(1) else 0);
-            st = Array.copy ws.stack.(plen);
-          }
-          :: tasks.(s)
-      in
-      let heavy =
-        cx.nvars >= 2
-        &&
-        let ps1 = cx.participants.(1) in
-        let st = ws.stack.(1) in
-        let w = ref max_int in
-        Array.iter
-          (fun i ->
-            let sz = st.((2 * i) + 1) - st.(2 * i) in
-            if sz < !w then w := sz)
-          ps1;
-        !w > split_threshold
-      in
-      if heavy then enumerate cx ws c ~level:1 ~stop:2 (fun () -> push 2)
-      else push 1
-      end
-    end;
-    Shard.Stream.advance_gt ls v
-  done;
-  (Array.map (fun l -> Array.of_list (List.rev l)) tasks, counts)
-
-(* Skew fallback: shard task lists exceeding 2x the mean are halved
-   recursively into execution units, so one hot shard cannot serialize
-   the pool.  Units are ordered by (shard, offset); merging per-unit
-   counters in that order keeps totals deterministic. *)
-type exec_unit = { shard : int; t0 : int; t1 : int }
-
-let units_of counts =
-  let k = Array.length counts in
-  let total = Array.fold_left ( + ) 0 counts in
-  let mean = max 1 ((total + k - 1) / k) in
-  let cap = 2 * mean in
-  let out = ref [] in
-  let rec split s t0 t1 =
-    if t1 - t0 > cap && t1 - t0 > 1 then begin
-      let mid = (t0 + t1) / 2 in
-      split s t0 mid;
-      split s mid t1
-    end
-    else if t1 > t0 then out := { shard = s; t0; t1 } :: !out
-  in
-  for s = k - 1 downto 0 do
-    split s 0 counts.(s)
-  done;
-  Array.of_list !out
-
-let run_units ctxs (tasks : task array array) units pool c ~make_acc ~consume =
-  let nu = Array.length units in
-  let accs = Array.init nu (fun _ -> make_acc ()) in
-  let ctrs = Array.init nu (fun _ -> fresh_counters ()) in
-  let body u =
-    let { shard = s; t0; t1 } = units.(u) in
-    let cx = ctxs.(s) in
-    let ws = make_ws cx in
-    let ck = ctrs.(u) and acc = accs.(u) in
-    for ti = t0 to t1 - 1 do
-      let t = tasks.(s).(ti) in
-      ws.assignment.(0) <- t.v0;
-      if t.plen > 1 then ws.assignment.(1) <- t.v1;
-      Array.blit t.st 0 ws.stack.(t.plen) 0 (2 * cx.natoms);
-      enumerate cx ws ck ~level:t.plen ~stop:cx.nvars (fun () ->
-          ck.emitted <- ck.emitted + 1;
-          consume acc ws.assignment)
-    done
-  in
-  (match pool with
-  | Some p when Pool.size p > 1 && nu > 1 -> Pool.run p ~chunks:nu body
-  | _ ->
-      for u = 0 to nu - 1 do
-        body u
-      done);
-  Array.iter
-    (fun ck ->
-      c.intersections <- c.intersections + ck.intersections;
-      c.emitted <- c.emitted + ck.emitted)
-    ctrs;
-  accs
-
-let sharded_drive ?order ?counters ?ctx ?partition ?view ?(subset = all_shards)
-    ~shards db q ~make_acc ~consume =
-  if shards < 1 then invalid_arg "Generic_join.run_sharded: shards < 1";
-  let ex = Exec.resolve ?ctx () in
-  let order = match order with Some o -> o | None -> Query.attributes q in
-  let c = match counters with Some c -> c | None -> fresh_counters () in
-  with_metrics ex.Exec.metrics c @@ fun () ->
-  if Array.length order = 0 then begin
-    (* no variable to partition on; the unsharded engine is the story *)
-    let cx =
-      make_ctx ?budget:ex.Exec.budget ~metrics:ex.Exec.metrics ~order db q
-    in
-    let acc = make_acc () in
-    run_seq cx c (fun a -> consume acc a);
-    [| acc |]
-  end
-  else begin
-    let view =
-      match view with
-      | Some (v : Shard.view) ->
-          if v.Shard.k <> shards then
-            invalid_arg "Generic_join.run_sharded: view shard count mismatch";
-          if v.Shard.attr <> order.(0) then
-            invalid_arg "Generic_join.run_sharded: view attribute mismatch";
-          v
-      | None -> Shard.view ?hook:partition ~attr:order.(0) ~k:shards db q
-    in
-    let ctxs =
-      make_shard_ctxs ?pool:ex.Exec.pool ?budget:ex.Exec.budget
-        ~lead:subset.lead ~metrics:ex.Exec.metrics ~order view
-    in
-    if sharded_empty ctxs then [| make_acc () |]
-    else begin
-      let tasks, counts = gen_sharded_tasks ctxs c ~sub:subset in
-      let units = units_of counts in
-      run_units ctxs tasks units ex.Exec.pool c ~make_acc ~consume
-    end
-  end
-
-let count_sharded ?order ?counters ?ctx ?partition ?view ?subset ~shards db q =
-  let accs =
-    sharded_drive ?order ?counters ?ctx ?partition ?view ?subset ~shards db q
-      ~make_acc:(fun () -> ref 0)
-      ~consume:(fun r _ -> incr r)
-  in
-  Array.fold_left (fun acc r -> acc + !r) 0 accs
-
-let run_sharded ?order ?counters ?ctx ?partition ?view ?subset ~shards db q =
-  let order' = match order with Some o -> o | None -> Query.attributes q in
-  let accs =
-    sharded_drive ?order ?counters ?ctx ?partition ?view ?subset ~shards db q
-      ~make_acc:(fun () -> ref [])
-      ~consume:(fun r a -> r := Array.copy a :: !r)
-  in
-  Relation.make order'
-    (Array.fold_left (fun acc r -> List.rev_append !r acc) [] accs)
+let all_shards = Compile.all_shards

@@ -3,11 +3,11 @@
     intersection of every relevant atom's value set, enumerated from the
     smallest set - the step that caps total work at O(N^{rho*}).
 
-    The engine works over columnar tries with galloping seeks and an
-    allocation-free state stack; [count] and [answer] optionally run on
-    a {!Lb_util.Pool} of domains, partitioning the first variable's
-    candidates (heavy candidates are split one level deeper) and merging
-    per-domain counters, with results identical to a sequential run.
+    A facade over {!Compile}: every entry point lowers the query against
+    its variable order ([?order], default: attributes in order of first
+    appearance) with [~engine:Generic] and runs the compiled loop nest,
+    so results and counters are those of {!Compile}'s drivers -
+    sequential, Domain-parallel under [ctx]'s pool, or sharded.
 
     Resource governance: a budget is ticked once per enumerated
     leader key (the unit the O(N^{rho*}) accounting charges), raising
@@ -16,7 +16,7 @@
     within a tick.  The metrics sink receives the per-call
     [generic_join.intersections] / [generic_join.emitted] deltas (also
     when the run is cut short) and one [generic_join.trie_builds] tick
-    per execution context built.
+    per execution.  [?counters] accumulates the same deltas.
 
     Execution resources are passed as a single [?ctx]
     ({!Lb_util.Exec.t}); see {!Lb_util.Exec.make}. *)
@@ -78,28 +78,11 @@ val exists :
 
 (** {2 Sharded execution}
 
-    The sharded driver hash-partitions every atom containing the first
-    variable of the order into [shards] co-partitioned pieces
-    ({!Shard.view}) and runs one subproblem per shard, fanned out on
-    [ctx]'s pool with a 2x-mean skew split.  The level-0 loop is
-    emulated over the merged per-shard key streams, so answers, counter
-    totals and budget ticks are bit-identical to the unsharded run.
-    [?partition] (see {!Shard.view}'s [?hook]) lets a catalog supply
-    warm raw-relation partitions; [?view] supplies a prebuilt view
-    outright (its [k] must equal [shards] and its attribute the first
-    variable of the order). *)
+    {!Compile.run_sharded}'s driver: answers, counter totals and budget
+    ticks equal the unsharded run's; see {!Compile.subset} for the
+    distributed-participant slice. *)
 
-(** Which slice of the sharded run this process executes.  [owned s]
-    selects the shards whose deep-level work (and counters, emitted
-    rows, heavy-split expansion) this participant performs; [lead]
-    marks the one participant that accounts the shared level-0 stream
-    emulation and the logical [generic_join.trie_builds] tick.  Over a
-    cover of participants - every shard owned exactly once, exactly one
-    lead - the reported counters sum to the single-process sharded
-    totals bit for bit.  The default, {!all_shards}, owns everything
-    and leads: the single-process case.  Ignored when the variable
-    order is empty (the unsharded fallback runs whole). *)
-type subset = { owned : int -> bool; lead : bool }
+type subset = Compile.subset = { owned : int -> bool; lead : bool }
 
 val all_shards : subset
 

@@ -1,19 +1,18 @@
 (** Leapfrog Triejoin (Veldhuizen): the second worst-case-optimal join
     of Theorem 3.3.  The per-variable intersection leapfrogs sorted key
     streams over columnar tries, seeking each iterator to the current
-    maximum by galloping search from its position.  [count]/[answer]
-    accept a {!Lb_util.Pool} to run Domain-parallel with results and
-    counter totals identical to a sequential run.
+    maximum by galloping search from its position.
+
+    A facade over {!Compile}, like {!Generic_join}: every entry point
+    lowers the query with [~engine:Leapfrog] and runs the compiled loop
+    nest on {!Compile}'s drivers.
 
     Resource governance mirrors {!Generic_join}: the budget is ticked
     once per agreed key and per seek (raising
     {!Lb_util.Budget.Budget_exhausted} when spent, on every domain of a
     parallel run); the metrics sink receives the per-call
     [leapfrog.seeks] / [leapfrog.emitted] deltas and one
-    [leapfrog.trie_builds] tick per execution context built.
-
-    As in {!Generic_join}, resources are passed as a single [?ctx]
-    ({!Lb_util.Exec.t}); see {!Lb_util.Exec.make}. *)
+    [leapfrog.trie_builds] tick per execution. *)
 
 type counters = { mutable seeks : int; mutable emitted : int }
 
@@ -62,15 +61,13 @@ val exists :
   Query.t ->
   bool
 
-(** Distributed-participant slice; same contract as
-    {!Generic_join.subset}. *)
-type subset = { owned : int -> bool; lead : bool }
+(** Distributed-participant slice; see {!Compile.subset}. *)
+type subset = Compile.subset = { owned : int -> bool; lead : bool }
 
 val all_shards : subset
 
-(** Sharded driver; same contract and determinism guarantees as
-    {!Generic_join.run_sharded}, with the level-0 leapfrog emulated over
-    the merged per-shard key streams. *)
+(** Sharded driver ({!Compile.run_sharded}), with the level-0 leapfrog
+    emulated over the merged per-shard key streams. *)
 val run_sharded :
   ?order:string array ->
   ?counters:counters ->

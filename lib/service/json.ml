@@ -37,12 +37,19 @@ let escape_string buf s =
   Buffer.add_char buf '"'
 
 (* Integral floats print as "x.0" (exact, and visibly a float);
-   everything else prints with 17 significant digits, which
-   round-trips any finite double.  Non-finite floats have no JSON
-   representation; they become null (the service never emits them). *)
+   everything else prints with the fewest of 15, 16 or 17 significant
+   digits that parse back to the same double (17 always do), so 1.364
+   prints as "1.364", not "1.3640000000000001".  Non-finite floats have
+   no JSON representation; they become null (the service never emits
+   them). *)
 let float_repr x =
   if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.1f" x
-  else Printf.sprintf "%.17g" x
+  else
+    let s15 = Printf.sprintf "%.15g" x in
+    if float_of_string s15 = x then s15
+    else
+      let s16 = Printf.sprintf "%.16g" x in
+      if float_of_string s16 = x then s16 else Printf.sprintf "%.17g" x
 
 let rec to_buffer buf v =
   match v with

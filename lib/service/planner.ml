@@ -77,19 +77,21 @@ let bound_statements (q : Q.t) =
    rides in the plan cache and is re-resolved against fresh tries per
    execution.  [lower] cannot fail on a parsed query (every attribute
    of the default order comes from an atom), but planning must never
-   die on a lowering bug - degrade to the interpreted path instead.
-   The decomposition route compiles per bag at execution time
-   ([Decomposed_join]'s [~compile]), so it carries no top-level IR. *)
-let lower_ir engine (q : Q.t) =
-  let lower ce =
-    match Lb_relalg.Compile.lower ~engine:ce q with
-    | ir -> Some ir
-    | exception Invalid_argument _ -> None
-  in
-  match engine with
-  | Generic_join -> lower Lb_relalg.Compile.Generic
-  | Leapfrog -> lower Lb_relalg.Compile.Leapfrog
+   die on a lowering bug - leave it to execution, which lowers again
+   and reports the failure as an error reply.  The decomposition route
+   lowers per bag at execution time, so it carries no top-level IR. *)
+let wcoj_engine = function
+  | Generic_join -> Some Lb_relalg.Compile.Generic
+  | Leapfrog -> Some Lb_relalg.Compile.Leapfrog
   | Yannakakis | Binary_hash | Decomposed -> None
+
+let lower_ir engine (q : Q.t) =
+  match wcoj_engine engine with
+  | None -> None
+  | Some ce -> (
+      match Lb_relalg.Compile.lower ~engine:ce q with
+      | ir -> Some ir
+      | exception Invalid_argument _ -> None)
 
 let mk ?atom_order ?compiled ?fhw ?decomposition ~forced ~acyclic ~rho ~exponent
     ~why engine q =

@@ -27,6 +27,10 @@ val engine_of_name : string -> (engine, string) result
 
 val all_engines : engine list
 
+(** The executor's intersection primitive for a WCOJ engine
+    ({!Lb_relalg.Compile}); [None] for the others. *)
+val wcoj_engine : engine -> Lb_relalg.Compile.engine option
+
 type plan = {
   engine : engine;
   forced : bool;  (** the client requested this engine explicitly *)
@@ -49,9 +53,9 @@ type plan = {
   compiled : Lb_relalg.Compile.ir option;
       (** WCOJ engines: the plan lowered to a monomorphic loop nest
           ({!Lb_relalg.Compile}); schema-only, so it rides in the plan
-          cache.  [None] for other engines or with [~compile:false].
-          The decomposition route instead compiles per bag at
-          execution time. *)
+          cache.  [None] for other engines or with [~compile:false],
+          in which case the executor lowers at execution time.  The
+          decomposition route lowers per bag at execution time. *)
   explanation : string list;
 }
 
@@ -65,8 +69,9 @@ type plan = {
       arities Generic Join - both at the AGM exponent, which the
       greedy binary plan's prefix exponent can only match or exceed.
 
-    [compile] (default [true]) also lowers WCOJ plans to the compiled
-    tier; [~compile:false] is the interpreted escape hatch. *)
+    [compile] (default [true]) also lowers WCOJ plans at planning time
+    into [compiled]; with [~compile:false] the plan leaves lowering to
+    execution time.  Either way the query runs on {!Lb_relalg.Compile}. *)
 val choose :
   ?compile:bool -> Lb_relalg.Database.t -> Lb_relalg.Query.t -> plan
 

@@ -33,7 +33,6 @@ type config = {
   max_rows : int;
   pool : Pool.t option;
   shards : int;
-  compile : bool;
   ivm : bool;
   data_dir : string option;
   snapshot_every : int;
@@ -54,7 +53,6 @@ let default_config =
     max_rows = 10_000;
     pool = None;
     shards = 1;
-    compile = true;
     ivm = true;
     data_dir = None;
     snapshot_every = 64;
@@ -137,21 +135,29 @@ let incr t name = Metrics.incr t.metrics name
 let rels_of (q : Q.t) =
   List.sort_uniq String.compare (List.map (fun (a : Q.atom) -> a.Q.rel) q)
 
+(* The executor IR of a WCOJ plan: the one lowered at planning time
+   and cached with the plan, else lowered here. *)
+let wcoj_ir (plan : Planner.plan) q =
+  match (plan.Planner.compiled, Planner.wcoj_engine plan.Planner.engine) with
+  | Some ir, _ -> ir
+  | None, Some engine -> Lb_relalg.Compile.lower ~engine q
+  | None, None -> invalid_arg "Server: not a WCOJ plan"
+
 (* --- IVM: result-cache maintenance across writes --- *)
 
-(* Maintenance queries run interpreted through whatever engine the
-   planner picks for them - canonical answers are engine-independent,
-   so the choice affects cost only.  Counters land in the lifetime
-   sink (maintenance happens in the sequential phase). *)
+(* Maintenance queries run through whatever engine the planner picks
+   for them - canonical answers are engine-independent, so the choice
+   affects cost only.  Counters land in the lifetime sink (maintenance
+   happens in the sequential phase). *)
 let runner t : Ivm.runner =
  fun db q ->
-  let plan = Planner.choose ~compile:false db q in
+  let plan = Planner.choose db q in
   let ctx = Exec.make ~metrics:t.metrics () in
   match plan.Planner.engine with
   | Planner.Yannakakis -> fst (Lb_relalg.Yannakakis.answer ~ctx db q)
   | Planner.Binary_hash -> fst (Lb_relalg.Binary_plan.run db q)
-  | Planner.Generic_join -> Lb_relalg.Generic_join.answer ~ctx db q
-  | Planner.Leapfrog -> Lb_relalg.Leapfrog.answer ~ctx db q
+  | Planner.Generic_join | Planner.Leapfrog ->
+      Lb_relalg.Compile.answer ~ctx (wcoj_ir plan q) db q
   | Planner.Decomposed ->
       fst
         (Lb_relalg.Decomposed_join.answer ~ctx
@@ -572,9 +578,6 @@ type task = {
   sink : Metrics.t;
   budget : Budget.t option;
   shards : int;
-  compile : bool;
-      (* the server's compile setting, for engines that lower per bag
-         at execution time (Decomposed) rather than at plan time *)
   view : Shard.view option;
       (* prebuilt in the sequential phase from the catalog's warm
          partitions, so the parallel phase touches no catalog state *)
@@ -607,26 +610,15 @@ let run_engine ?pool (task : task) db =
       let rel, _stats = Lb_relalg.Yannakakis.answer ~ctx db q in
       Option.iter Budget.check budget;
       rel
-  | Planner.Generic_join -> (
-      (* The compiled IR, when the plan carries one, replaces the
-         interpreted loop nest on every driver - answers, counters and
-         budget ticks are bit-identical (Compile's contract), so the
-         caches and the counter stream cannot tell the paths apart. *)
-      match (task.plan.Planner.compiled, task.view) with
-      | Some ir, Some view when task.shards > 1 ->
+  | Planner.Generic_join | Planner.Leapfrog -> (
+      (* answers, counters and budget ticks are the same on every
+         driver (Compile's contract), so the caches and the counter
+         stream cannot tell sharded from unsharded runs apart *)
+      let ir = wcoj_ir task.plan q in
+      match task.view with
+      | Some view when task.shards > 1 ->
           Lb_relalg.Compile.run_sharded ~ctx ~view ~shards:task.shards ir db q
-      | Some ir, _ -> Lb_relalg.Compile.answer ~ctx ir db q
-      | None, Some view when task.shards > 1 ->
-          Lb_relalg.Generic_join.run_sharded ~ctx ~view ~shards:task.shards db q
-      | None, _ -> Lb_relalg.Generic_join.answer ~ctx db q)
-  | Planner.Leapfrog -> (
-      match (task.plan.Planner.compiled, task.view) with
-      | Some ir, Some view when task.shards > 1 ->
-          Lb_relalg.Compile.run_sharded ~ctx ~view ~shards:task.shards ir db q
-      | Some ir, _ -> Lb_relalg.Compile.answer ~ctx ir db q
-      | None, Some view when task.shards > 1 ->
-          Lb_relalg.Leapfrog.run_sharded ~ctx ~view ~shards:task.shards db q
-      | None, _ -> Lb_relalg.Leapfrog.answer ~ctx db q)
+      | _ -> Lb_relalg.Compile.answer ~ctx ir db q)
   | Planner.Binary_hash ->
       Option.iter Budget.check budget;
       let rel, stats =
@@ -641,13 +633,12 @@ let run_engine ?pool (task : task) db =
       Option.iter Budget.check budget;
       rel
   | Planner.Decomposed ->
-      (* Bag materialization + Yannakakis; the plan carries the
-         realizing decomposition, and the compiled loop-nest tier is
-         applied per bag (bit-identical to interpreted, so the counter
-         stream and caches cannot tell the paths apart). *)
+      (* Bag materialization (each bag a Generic Join on the
+         executor) + Yannakakis; the plan carries the realizing
+         decomposition. *)
       Option.iter Budget.check budget;
       let rel, stats =
-        Lb_relalg.Decomposed_join.answer ~ctx ~compile:task.compile
+        Lb_relalg.Decomposed_join.answer ~ctx
           ?decomposition:task.plan.Planner.decomposition db q
       in
       Metrics.add sink "decomposed.max_bag_tuples"
@@ -831,11 +822,10 @@ let plan_of t (q : Q.t) canonical (engine : Planner.engine option) =
   | None -> (
       incr t "serve.cache.plan.misses";
       let db = Catalog.database t.catalog in
-      let compile = t.config.compile in
       let planned =
         match engine with
-        | None -> Ok (Planner.choose ~compile db q)
-        | Some e -> Planner.plan_for ~compile e db q
+        | None -> Ok (Planner.choose db q)
+        | Some e -> Planner.plan_for e db q
       in
       match planned with
       | Ok plan ->
@@ -900,7 +890,6 @@ let prepare_query t text (opts : Protocol.query_opts) =
               sink = Metrics.create ();
               budget = None;
               shards;
-              compile = t.config.compile;
               view;
               outcome = Failed "not executed";
               elapsed_ms = 0.0;
@@ -1089,11 +1078,10 @@ let prepare_mutation t op name record =
 
 (* One scatter slice: run the sharded WCOJ driver over the shard view,
    deep-executing only the [owned] shard indices and counting level-0
-   work iff [lead].  Always interpreted: the compiled tier is
-   bit-identical to the interpreted drivers, so a coordinator that ran
-   compiled still sums to the same counters.  The reply returns every
-   owned row (shaping is the coordinator's job) plus the slice's
-   counter deltas. *)
+   work iff [lead], so the slices of a cover sum to the coordinator's
+   single-process counters.  The reply returns every owned row
+   (shaping is the coordinator's job) plus the slice's counter
+   deltas. *)
 let exec_subquery t ~text ~engine ~shards ~owned ~lead =
   incr t "serve.dist.subqueries";
   let fail msg =
@@ -1128,30 +1116,21 @@ let exec_subquery t ~text ~engine ~shards ~owned ~lead =
                 let sink = Metrics.create () in
                 let ctx = Exec.make ?pool:t.config.pool ~metrics:sink () in
                 match
-                  match engine with
-                  | Planner.Generic_join ->
+                  match Planner.wcoj_engine engine with
+                  | Some ce ->
                       let subset =
-                        {
-                          Lb_relalg.Generic_join.owned =
-                            (fun i -> owned_arr.(i));
-                          lead;
-                        }
-                      in
-                      Ok
-                        (Lb_relalg.Generic_join.run_sharded ~ctx ~view ~subset
-                           ~shards db q)
-                  | Planner.Leapfrog ->
-                      let subset =
-                        { Lb_relalg.Leapfrog.owned = (fun i -> owned_arr.(i));
+                        { Lb_relalg.Compile.owned = (fun i -> owned_arr.(i));
                           lead }
                       in
                       Ok
-                        (Lb_relalg.Leapfrog.run_sharded ~ctx ~view ~subset
-                           ~shards db q)
-                  | e ->
+                        (Lb_relalg.Compile.run_sharded ~ctx ~view ~subset
+                           ~shards
+                           (Lb_relalg.Compile.lower ~engine:ce q)
+                           db q)
+                  | None ->
                       Error
                         (Printf.sprintf "engine %s is not distributable"
-                           (Planner.engine_name e))
+                           (Planner.engine_name engine))
                 with
                 | Error msg -> fail msg
                 | exception Invalid_argument msg -> fail msg
@@ -1286,7 +1265,9 @@ let prepare t ~req_v (req : Protocol.request) =
                  [
                    ("shards", Json.Int t.config.shards);
                    ("batch", Json.Bool true);
-                   ("compile", Json.Bool t.config.compile);
+                   (* every WCOJ plan runs compiled; the capability
+                      stays for clients that read it *)
+                   ("compile", Json.Bool true);
                    ("ivm", Json.Bool t.config.ivm);
                    ("durable", Json.Bool (t.durable <> None));
                    ("colsub", Json.Bool true);

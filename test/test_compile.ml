@@ -1,12 +1,20 @@
-(* Differential tests for the plan compilation tier.
+(* Differential tests for the WCOJ executor (Lb_relalg.Compile).
 
    The contract under test: for every (query, database) pair and every
-   driver - sequential, Domain-parallel, sharded at k in {1,2,3,7} -
-   the compiled loop nest produces the same answers AND the same work
-   counters (intersections / seeks / emitted) as the interpreted
-   engines, with budget ticks landing at the same points (so partial
-   counters after a mid-query exhaustion match too).  Instances reuse
-   the generators and seeds of test_join_engine.ml. *)
+   driver - sequential, Domain-parallel, sharded at k in {1,2,3,7}, and
+   covers of distributed subsets - the executor produces the oracle's
+   answers AND the exact work counters (intersections / seeks /
+   emitted) of the sequential reference enumerators in
+   test/reference/wcoj_ref.ml, with budget ticks landing at the same
+   points.  Partial counters after a mid-query exhaustion: the
+   sequential driver's must equal the reference's textbook order; the
+   sharded driver's equal [Wcoj_ref.count_staged], a model of its
+   present merge-after-fan-out order (deep work lost from partials),
+   and separately satisfy checks that hold under any merge order.
+   The Generic_join / Leapfrog facades are checked against the same
+   reference.  "interpreted" in the test names is that reference: the
+   plain interpreted form of both engines.  Instances reuse the
+   generators and seeds of test_join_engine.ml. *)
 
 module Q = Lb_relalg.Query
 module R = Lb_relalg.Relation
@@ -14,6 +22,7 @@ module Db = Lb_relalg.Database
 module Gj = Lb_relalg.Generic_join
 module Lf = Lb_relalg.Leapfrog
 module C = Lb_relalg.Compile
+module Ref = Wcoj_ref
 module Pool = Lb_util.Pool
 module Prng = Lb_util.Prng
 module Budget = Lb_util.Budget
@@ -50,18 +59,39 @@ let random_db rng (q : Q.t) =
          (a.Q.rel, R.make attrs tuples))
        q)
 
-(* Interpreted reference counters as the unified (work, emitted) pair. *)
-let interp_gj db q =
-  let cs = Gj.fresh_counters () in
-  let n = Gj.count ~counters:cs db q in
-  (n, cs.Gj.intersections, cs.Gj.emitted)
+(* Reference (count, work, emitted) of the sequential enumerator. *)
+let reference eng db q =
+  let rc = Ref.fresh_counters () in
+  let n = Ref.count ~engine:eng ~counters:rc db q in
+  (n, rc.Ref.work, rc.Ref.emitted)
 
-let interp_lf db q =
-  let cs = Lf.fresh_counters () in
-  let n = Lf.count ~counters:cs db q in
-  (n, cs.Lf.seeks, cs.Lf.emitted)
+(* The facade's count; its own counter record is copied into [c], also
+   when a budget cuts the run short. *)
+let facade_count eng ?ctx (c : C.counters) db q =
+  match eng with
+  | C.Generic ->
+      let cs = Gj.fresh_counters () in
+      Fun.protect
+        ~finally:(fun () ->
+          c.C.work <- cs.Gj.intersections;
+          c.C.emitted <- cs.Gj.emitted)
+        (fun () -> Gj.count ~counters:cs ?ctx db q)
+  | C.Leapfrog ->
+      let cs = Lf.fresh_counters () in
+      Fun.protect
+        ~finally:(fun () ->
+          c.C.work <- cs.Lf.seeks;
+          c.C.emitted <- cs.Lf.emitted)
+        (fun () -> Lf.count ~counters:cs ?ctx db q)
 
-let engines = [ (C.Generic, interp_gj); (C.Leapfrog, interp_lf) ]
+let facade eng db q =
+  let c = C.fresh_counters () in
+  let n = facade_count eng c db q in
+  (n, c.C.work, c.C.emitted)
+
+let engines = [ C.Generic; C.Leapfrog ]
+
+let triple = Alcotest.(triple int int int)
 
 let test_differential_seq () =
   for seed = 1 to 100 do
@@ -70,20 +100,26 @@ let test_differential_seq () =
     let db = random_db rng q in
     let oracle = Q.answer db q in
     List.iter
-      (fun (eng, interp) ->
+      (fun eng ->
         let ctxt =
           Printf.sprintf "%s seed %d, query %s" (C.engine_name eng) seed
             (Q.to_string q)
         in
         let ir = C.lower ~engine:eng q in
-        let n_i, work_i, emitted_i = interp db q in
+        let want = reference eng db q in
         let cc = C.fresh_counters () in
         let n_c = C.count ~counters:cc ir db q in
-        check Alcotest.int (ctxt ^ ": count") n_i n_c;
-        check Alcotest.int (ctxt ^ ": work counter") work_i cc.C.work;
-        check Alcotest.int (ctxt ^ ": emitted counter") emitted_i cc.C.emitted;
+        check triple (ctxt ^ ": count, work, emitted") want
+          (n_c, cc.C.work, cc.C.emitted);
+        check triple (ctxt ^ ": facade") want (facade eng db q);
+        let ic = C.fresh_counters () and seen = ref 0 in
+        C.iter ~counters:ic ir db q (fun _ -> incr seen);
+        check triple (ctxt ^ ": iter") want (!seen, ic.C.work, ic.C.emitted);
+        check Alcotest.bool (ctxt ^ ": exists") (n_c > 0) (C.exists ir db q);
         if not (R.equal_modulo_order oracle (C.answer ir db q)) then
-          Alcotest.failf "compiled answer disagrees with oracle (%s)" ctxt)
+          Alcotest.failf "answer disagrees with oracle (%s)" ctxt;
+        if not (R.equal (Ref.answer ~engine:eng db q) (C.answer ir db q)) then
+          Alcotest.failf "answer disagrees with the reference (%s)" ctxt)
       engines
   done
 
@@ -96,28 +132,74 @@ let test_differential_sharded () =
         let db = random_db rng q in
         let oracle = Q.answer db q in
         List.iter
-          (fun (eng, interp) ->
+          (fun eng ->
             let ctxt =
               Printf.sprintf "%s k=%d seed %d, query %s" (C.engine_name eng)
                 shards seed (Q.to_string q)
             in
             let ir = C.lower ~engine:eng q in
-            let n_i, work_i, emitted_i = interp db q in
             let cc = C.fresh_counters () in
             let n_c = C.count_sharded ~counters:cc ~shards ir db q in
-            check Alcotest.int (ctxt ^ ": count") n_i n_c;
-            check Alcotest.int (ctxt ^ ": work counter") work_i cc.C.work;
-            check Alcotest.int (ctxt ^ ": emitted counter") emitted_i
-              cc.C.emitted;
+            check triple (ctxt ^ ": count, work, emitted") (reference eng db q)
+              (n_c, cc.C.work, cc.C.emitted);
             if
               not
                 (R.equal_modulo_order oracle
                    (C.run_sharded ~shards ir db q))
             then
-              Alcotest.failf "compiled sharded answer disagrees (%s)" ctxt)
+              Alcotest.failf "sharded answer disagrees with oracle (%s)" ctxt)
           engines
       done)
     [ 1; 2; 3; 7 ]
+
+(* Distributed covers: participant p owns the shards s with
+   s mod parts = p, participant 0 leads.  Summed counters, the union of
+   the rows and the trie-build tick reproduce the single-process run. *)
+let test_subset_covers () =
+  List.iter
+    (fun (shards, parts) ->
+      for seed = 1 to 40 do
+        let rng = Prng.create (53 * seed) in
+        let q = random_query rng in
+        let db = random_db rng q in
+        List.iter
+          (fun eng ->
+            let ctxt =
+              Printf.sprintf "%s k=%d/%d seed %d, query %s" (C.engine_name eng)
+                shards parts seed (Q.to_string q)
+            in
+            let ir = C.lower ~engine:eng q in
+            let cc = C.fresh_counters () in
+            let m = Metrics.create () in
+            let rows =
+              List.init parts (fun p ->
+                  let subset =
+                    { C.owned = (fun s -> s mod parts = p); lead = p = 0 }
+                  in
+                  R.tuples
+                    (C.run_sharded ~counters:cc
+                       ~ctx:(Exec.make ~metrics:m ())
+                       ~subset ~shards ir db q))
+            in
+            let n = List.fold_left (fun n r -> n + Array.length r) 0 rows in
+            check triple (ctxt ^ ": summed count, work, emitted")
+              (reference eng db q)
+              (n, cc.C.work, cc.C.emitted);
+            if
+              not
+                (R.equal
+                   (R.make ir.C.order (List.concat_map Array.to_list rows))
+                   (C.run_sharded ~shards ir db q))
+            then Alcotest.failf "covered rows differ (%s)" ctxt;
+            let builds =
+              if eng = C.Generic then "generic_join.trie_builds"
+              else "leapfrog.trie_builds"
+            in
+            check Alcotest.(option int) (ctxt ^ ": one logical build")
+              (Some 1) (Metrics.find_counter m builds))
+          engines
+      done)
+    [ (2, 2); (3, 2); (7, 3) ]
 
 let test_differential_pooled () =
   Pool.with_pool 3 (fun pool ->
@@ -127,23 +209,25 @@ let test_differential_pooled () =
         let q = random_query rng in
         let db = random_db rng q in
         List.iter
-          (fun (eng, interp) ->
+          (fun eng ->
             let ctxt =
               Printf.sprintf "%s seed %d, query %s" (C.engine_name eng) seed
                 (Q.to_string q)
             in
             let ir = C.lower ~engine:eng q in
-            let n_i, work_i, emitted_i = interp db q in
             let cc = C.fresh_counters () in
             let n_c = C.count ~counters:cc ~ctx ir db q in
-            check Alcotest.int (ctxt ^ ": pooled count") n_i n_c;
-            check Alcotest.int (ctxt ^ ": pooled work") work_i cc.C.work;
-            check Alcotest.int (ctxt ^ ": pooled emitted") emitted_i
-              cc.C.emitted;
+            check triple (ctxt ^ ": pooled count, work, emitted")
+              (reference eng db q)
+              (n_c, cc.C.work, cc.C.emitted);
+            let cs = C.fresh_counters () in
+            let n_s = C.count_sharded ~counters:cs ~ctx ~shards:3 ir db q in
+            check triple (ctxt ^ ": pooled sharded") (reference eng db q)
+              (n_s, cs.C.work, cs.C.emitted);
             if
               not
                 (R.equal (C.answer ir db q) (C.answer ~ctx ir db q))
-            then Alcotest.failf "pooled compiled answer differs (%s)" ctxt)
+            then Alcotest.failf "pooled answer differs (%s)" ctxt)
           engines
       done)
 
@@ -166,98 +250,95 @@ let broom_db n =
 
 let triangle = Q.parse "R(a,b), S(b,c), T(a,c)"
 
-let exhausted_ticks name = function
-  | Budget.Done _ -> Alcotest.failf "%s: expected exhaustion, got Done" name
-  | Budget.Exhausted e -> e.Budget.ticks
+(* (ticks at exhaustion, partial work, partial emitted) of a run that
+   must exhaust its budget of [ticks]. *)
+let partial name ticks run =
+  let c = C.fresh_counters () in
+  match Budget.protect (fun () -> run (Budget.create ~ticks ()) c) with
+  | Budget.Done (_ : int) ->
+      Alcotest.failf "%s: expected exhaustion, got Done" name
+  | Budget.Exhausted e -> (e.Budget.ticks, c.C.work, c.C.emitted)
+
+(* Checks that hold whatever order the drivers charge and merge their
+   counters in: the run spent exactly its budget, and its partial
+   counters never exceed the full run's. *)
+let order_free name ticks (_, w, e) (t, pw, pe) =
+  check Alcotest.int (name ^ ": ticks spent = budget") ticks t;
+  if pw > w || pe > e then
+    Alcotest.failf "%s: partial (%d, %d) exceeds the full run's (%d, %d)" name
+      pw pe w e
 
 let test_budget_exhaustion_partial_counters () =
   let db = broom_db 120 in
   List.iter
     (fun ticks ->
-      (* Generic Join, unsharded *)
-      let cs = Gj.fresh_counters () in
-      let ti =
-        exhausted_ticks "interpreted gj"
-          (Gj.count_bounded ~counters:cs
-             ~ctx:(Exec.make ~budget:(Budget.create ~ticks ()) ())
-             db triangle)
-      in
-      let ir = C.lower ~engine:C.Generic triangle in
-      let cc = C.fresh_counters () in
-      let tc =
-        exhausted_ticks "compiled gj"
-          (C.count_bounded ~counters:cc
-             ~ctx:(Exec.make ~budget:(Budget.create ~ticks ()) ())
-             ir db triangle)
-      in
-      check Alcotest.int "gj ticks at exhaustion" ti tc;
-      check Alcotest.int "gj partial intersections" cs.Gj.intersections
-        cc.C.work;
-      check Alcotest.int "gj partial emitted" cs.Gj.emitted cc.C.emitted;
-      (* Leapfrog, unsharded *)
-      let ls = Lf.fresh_counters () in
-      let tl =
-        exhausted_ticks "interpreted lf"
-          (Lf.count_bounded ~counters:ls
-             ~ctx:(Exec.make ~budget:(Budget.create ~ticks ()) ())
-             db triangle)
-      in
-      let irl = C.lower ~engine:C.Leapfrog triangle in
-      let lc = C.fresh_counters () in
-      let tlc =
-        exhausted_ticks "compiled lf"
-          (C.count_bounded ~counters:lc
-             ~ctx:(Exec.make ~budget:(Budget.create ~ticks ()) ())
-             irl db triangle)
-      in
-      check Alcotest.int "lf ticks at exhaustion" tl tlc;
-      check Alcotest.int "lf partial seeks" ls.Lf.seeks lc.C.work;
-      check Alcotest.int "lf partial emitted" ls.Lf.emitted lc.C.emitted;
-      (* Sharded compiled vs sharded interpreted (the sharded drivers
-         defer leaf emission until after level-0 task generation, so
-         their partials legitimately differ from the unsharded run's -
-         but compiled and interpreted must still agree tick for
-         tick). *)
-      let cs3 = Gj.fresh_counters () in
-      let ti3 =
-        exhausted_ticks "interpreted sharded gj"
-          (Budget.protect (fun () ->
-               Gj.count_sharded ~counters:cs3
-                 ~ctx:(Exec.make ~budget:(Budget.create ~ticks ()) ())
-                 ~shards:3 db triangle))
-      in
-      let cc3 = C.fresh_counters () in
-      let t3 =
-        exhausted_ticks "compiled sharded gj"
-          (Budget.protect (fun () ->
-               C.count_sharded ~counters:cc3
-                 ~ctx:(Exec.make ~budget:(Budget.create ~ticks ()) ())
-                 ~shards:3 ir db triangle))
-      in
-      check Alcotest.int "sharded ticks at exhaustion" ti3 t3;
-      check Alcotest.int "sharded partial work" cs3.Gj.intersections
-        cc3.C.work;
-      check Alcotest.int "sharded partial emitted" cs3.Gj.emitted cc3.C.emitted)
+      List.iter
+        (fun eng ->
+          let name = C.engine_name eng in
+          let ir = C.lower ~engine:eng triangle in
+          let ctx budget = Exec.make ~budget () in
+          let full = reference eng db triangle in
+          (* unsharded: the sequential enumeration order *)
+          let want =
+            partial (name ^ " reference") ticks (fun budget counters ->
+                Ref.count ~engine:eng ~budget ~counters db triangle)
+          in
+          let seq =
+            partial name ticks (fun budget counters ->
+                C.count ~counters ~ctx:(ctx budget) ir db triangle)
+          in
+          check triple (name ^ " sequential partials") want seq;
+          order_free (name ^ " sequential") ticks full seq;
+          check triple (name ^ " facade partials") want
+            (partial name ticks (fun budget counters ->
+                 facade_count eng ~ctx:(ctx budget) counters db triangle));
+          (* sharded: level-0 candidates first, then the deep tasks in
+             shard order, whose counters merge after the fan-out - the
+             present charging order, which [Ref.count_staged] models *)
+          List.iter
+            (fun shards ->
+              let label = Printf.sprintf "%s sharded k=%d" name shards in
+              let got =
+                partial label ticks (fun budget counters ->
+                    C.count_sharded ~counters ~ctx:(ctx budget) ~shards ir db
+                      triangle)
+              in
+              order_free label ticks full got;
+              check triple (label ^ " partials")
+                (partial (label ^ " reference") ticks (fun budget counters ->
+                     Ref.count_staged ~engine:eng ~budget ~counters ~shards db
+                       triangle))
+                got)
+            [ 1; 3 ])
+        engines)
     [ 5; 57; 351 ]
 
-(* --- metrics sink parity: compiled paths report to the interpreted
-   engines' metric names --- *)
+(* --- metrics sink parity: every entry point reports the engine's
+   metric names, with the reference's values --- *)
 
 let test_metrics_names () =
   let db = broom_db 40 in
-  let mi = Metrics.create () and mc = Metrics.create () in
-  ignore (Gj.count ~ctx:(Exec.make ~metrics:mi ()) db triangle);
-  let ir = C.lower ~engine:C.Generic triangle in
-  ignore (C.count ~ctx:(Exec.make ~metrics:mc ()) ir db triangle);
   List.iter
-    (fun name ->
-      check Alcotest.(option int) name
-        (Metrics.find_counter mi name)
-        (Metrics.find_counter mc name))
+    (fun (eng, prefix, work) ->
+      let n, w, e = reference eng db triangle in
+      let ir = C.lower ~engine:eng triangle in
+      let via_compile = Metrics.create () and via_facade = Metrics.create () in
+      ignore (C.count ~ctx:(Exec.make ~metrics:via_compile ()) ir db triangle);
+      (match eng with
+      | C.Generic -> ignore (Gj.count ~ctx:(Exec.make ~metrics:via_facade ()) db triangle)
+      | C.Leapfrog -> ignore (Lf.count ~ctx:(Exec.make ~metrics:via_facade ()) db triangle));
+      List.iter
+        (fun m ->
+          List.iter
+            (fun (name, v) ->
+              check Alcotest.(option int) (prefix ^ name) (Some v)
+                (Metrics.find_counter m (prefix ^ name)))
+            [ ("trie_builds", 1); (work, w); ("emitted", e) ])
+        [ via_compile; via_facade ];
+      check Alcotest.int (prefix ^ " answers") n e)
     [
-      "generic_join.trie_builds";
-      "generic_join.intersections";
-      "generic_join.emitted";
+      (C.Generic, "generic_join.", "intersections");
+      (C.Leapfrog, "leapfrog.", "seeks");
     ]
 
 (* --- the IR itself --- *)
@@ -289,6 +370,8 @@ let suite =
       test_differential_sharded;
     Alcotest.test_case "pooled: compiled = interpreted (25 random)" `Quick
       test_differential_pooled;
+    Alcotest.test_case "subset covers sum to the reference" `Quick
+      test_subset_covers;
     Alcotest.test_case "budget exhaustion: partial counters match" `Quick
       test_budget_exhaustion_partial_counters;
     Alcotest.test_case "compiled reports interpreted metric names" `Quick

@@ -237,10 +237,36 @@ let test_json_canonical () =
       ("[true,false,null]", "[true,false,null]");
       ({|"café"|}, "\"caf\xc3\xa9\"");
       ("1e3", "1000.0");
+      ("1.364", "1.364");
+      ("0.1", "0.1");
+      ("1.3640000000000001", "1.364");
+      ("0.30000000000000004", "0.30000000000000004");
       ("{}", "{}");
     ]
 
 (* --- admission control --- *)
+
+(* Floats print with the shortest of 15/16/17 significant digits that
+   parses back to the same double. *)
+let test_json_float_shortest () =
+  check Alcotest.string "1.364" "1.364" (Json.to_string (Json.Float 1.364));
+  check Alcotest.string "elapsed_ms-shaped" "0.123"
+    (Json.to_string (Json.Float (Float.round (0.000123 *. 1e6) /. 1e3)));
+  let rng = Prng.create 1364 in
+  for i = 1 to 2000 do
+    let x =
+      match i mod 3 with
+      | 0 -> Float.of_int (Prng.int rng 1_000_000) /. 1e3
+      | 1 -> Prng.float rng 1.0 *. 1e-7
+      | _ -> Int64.float_of_bits (Int64.of_int (Prng.int rng max_int))
+    in
+    if Float.is_finite x then begin
+      let s = Json.to_string (Json.Float x) in
+      match Json.parse s with
+      | Json.Float y when Int64.bits_of_float y = Int64.bits_of_float x -> ()
+      | _ -> Alcotest.failf "%h printed as %s does not round-trip" x s
+    end
+  done
 
 let test_overload_rejection () =
   let config = { Server.default_config with max_pending = 4 } in
@@ -657,56 +683,50 @@ let test_sharded_server_bit_identical () =
 
 (* --- the compiled plan tier through the server --- *)
 
-(* A compiled server and a --no-compile server must be observationally
-   identical (rows, counts, engine work counters); the compiled one
-   reports "compiled":true in its plan and accounts compilation cache
-   traffic: one serve.compile.miss for the first lowering, then a
-   serve.compile.hit per reuse of the cached plan - also when the
-   answer itself comes from the result cache, since the plan cache is
-   consulted first. *)
+(* Served WCOJ queries run on the executor: rows equal the Binary_plan
+   hash-join oracle's, the engine work counters equal the sequential
+   reference enumerator's, and the plan reports "compiled":true.  The
+   server accounts compilation cache traffic: one serve.compile.miss
+   for the first lowering, then a serve.compile.hit per reuse of the
+   cached plan - also when the answer itself comes from the result
+   cache, since the plan cache is consulted first. *)
 let test_compile_tier_served () =
   let rng = Prng.create 4242 in
   let edges = List.init 60 (fun _ -> [ Prng.int rng 12; Prng.int rng 12 ]) in
+  let q = Q.parse triangle_text in
+  let db =
+    Db.of_list
+      [
+        ( "E",
+          R.make [| "u"; "v" |] (List.map Array.of_list edges) );
+      ]
+  in
+  let oracle, _ = Lb_relalg.Binary_plan.run db q in
   List.iter
-    (fun (engine, work_counter) ->
-      let compiled = Server.create () in
-      let interpreted =
-        Server.create
-          ~config:{ Server.default_config with compile = false }
-          ()
-      in
-      List.iter
-        (fun srv ->
-          ignore (handle_ok srv "load E" (load_req "E" [ "u"; "v" ] edges)))
-        [ compiled; interpreted ];
-      let r0 = handle_ok compiled "compiled" (query_req ~engine triangle_text) in
-      let r1 =
-        handle_ok interpreted "interpreted" (query_req ~engine triangle_text)
-      in
+    (fun (engine, ref_engine, work_counter) ->
+      let srv = Server.create () in
+      ignore (handle_ok srv "load E" (load_req "E" [ "u"; "v" ] edges));
+      let r0 = handle_ok srv "compiled" (query_req ~engine triangle_text) in
       let ctxt = Planner.engine_name engine in
       (match field "compiled" (field "plan" r0) with
       | Json.Bool true -> ()
       | _ -> Alcotest.fail (ctxt ^ ": plan not marked compiled"));
-      (match field "compiled" (field "plan" r1) with
-      | Json.Bool false -> ()
-      | _ -> Alcotest.fail (ctxt ^ ": --no-compile plan marked compiled"));
-      check Alcotest.string (ctxt ^ ": identical rows")
-        (Json.to_string (field "rows" r0))
-        (Json.to_string (field "rows" r1));
+      if rows_of_response r0 <> canonical_rows q oracle then
+        Alcotest.failf "%s: rows differ from the Binary_plan oracle" ctxt;
+      let rc = Wcoj_ref.fresh_counters () in
+      ignore (Wcoj_ref.count ~engine:ref_engine ~counters:rc db q);
+      let counter name = Metrics.find_counter (Server.metrics srv) name in
       check
         Alcotest.(option int)
-        (ctxt ^ ": " ^ work_counter ^ " bit-identical")
-        (Metrics.find_counter (Server.metrics interpreted) work_counter)
-        (Metrics.find_counter (Server.metrics compiled) work_counter);
-      let counter name = Metrics.find_counter (Server.metrics compiled) name in
+        (ctxt ^ ": " ^ work_counter ^ " equals the reference")
+        (Some rc.Wcoj_ref.work) (counter work_counter);
       check
         Alcotest.(option int)
         (ctxt ^ ": one compilation miss")
         (Some 1) (counter "serve.compile.misses");
       check Alcotest.(option int) (ctxt ^ ": no hits yet") None
         (counter "serve.compile.hits");
-      ignore
-        (handle_ok compiled "repeated" (query_req ~engine triangle_text));
+      ignore (handle_ok srv "repeated" (query_req ~engine triangle_text));
       check
         Alcotest.(option int)
         (ctxt ^ ": repeat reuses the compiled plan")
@@ -714,16 +734,10 @@ let test_compile_tier_served () =
       check
         Alcotest.(option int)
         (ctxt ^ ": no second lowering")
-        (Some 1) (counter "serve.compile.misses");
-      check
-        Alcotest.(option int)
-        (ctxt ^ ": interpreted server never compiles")
-        None
-        (Metrics.find_counter (Server.metrics interpreted)
-           "serve.compile.misses"))
+        (Some 1) (counter "serve.compile.misses"))
     [
-      (Planner.Generic_join, "generic_join.intersections");
-      (Planner.Leapfrog, "leapfrog.seeks");
+      (Planner.Generic_join, Wcoj_ref.Generic, "generic_join.intersections");
+      (Planner.Leapfrog, Wcoj_ref.Leapfrog, "leapfrog.seeks");
     ]
 
 (* --- count_only / limit shaping --- *)
@@ -762,6 +776,8 @@ let suite =
     Alcotest.test_case "protocol round-trip fuzz" `Quick
       test_protocol_roundtrip;
     Alcotest.test_case "json canonical printing" `Quick test_json_canonical;
+    Alcotest.test_case "json floats print shortest round-trip" `Quick
+      test_json_float_shortest;
     Alcotest.test_case "bounded-queue overload rejection" `Quick
       test_overload_rejection;
     Alcotest.test_case "scripted session (plans, cache, timeout, \
