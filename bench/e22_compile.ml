@@ -86,8 +86,8 @@ let run () =
                        C.count ~counters ~ctx:(ctx ~pool budget) ir db q)));
             (* partial counters after budget exhaustion: the sequential
                run cuts the depth-first order, the sharded one the
-               level-0-then-tasks order with deep counters merged after
-               the fan-out, as [Ref.count_staged] models it *)
+               level-0-then-tasks order, as [Ref.count_staged] models
+               it *)
             let ticks = 64 in
             agree
               (measured ~ticks (fun budget counters ->

@@ -610,6 +610,68 @@ let sat_cmd =
     (Cmd.info "sat" ~doc)
     Term.(const run $ file_arg $ timeout_arg $ metrics_arg $ json_flag)
 
+(* --- helpers shared by query, explain, serve and worker --- *)
+
+let fail fmt = Printf.ksprintf (fun s -> prerr_endline ("error: " ^ s)) fmt
+
+(* Run [f] with the --pool N domains: 1 = none, 0 = one per core. *)
+let with_pool pool_n f =
+  if pool_n = 1 then f None
+  else
+    let pool =
+      if pool_n = 0 then Lb_util.Pool.recommended ()
+      else Lb_util.Pool.create pool_n
+    in
+    Fun.protect
+      ~finally:(fun () -> Lb_util.Pool.shutdown pool)
+      (fun () -> f (Some pool))
+
+(* "HOST:PORT" -> (host, port). *)
+let host_port s =
+  match String.rindex_opt s ':' with
+  | None -> Error (Printf.sprintf "%S is not HOST:PORT" s)
+  | Some i -> (
+      match int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1)) with
+      | Some port -> Ok (String.sub s 0 i, port)
+      | None -> Error (Printf.sprintf "bad port in %S" s))
+
+let reply_message reply =
+  match (Json.string_field "message" reply, Json.string_field "status" reply) with
+  | Ok m, _ -> m
+  | Error _, Ok status -> status
+  | Error _, Error msg -> msg
+
+(* One protocol line through an in-process server. *)
+let local_send server line = Json.parse (Lb_service.Server.handle_line server line)
+
+(* Replay --load files (newline-delimited protocol requests, '-' =
+   stdin) through [send], stopping at the first line not answered
+   "ok"; returns the exit code. *)
+let replay_loads ~send files =
+  let replay_file file =
+    match if file = "-" then stdin else open_in file with
+    | exception Sys_error msg ->
+        fail "%s" msg;
+        2
+    | ic ->
+    Fun.protect ~finally:(fun () -> if file <> "-" then close_in ic)
+    @@ fun () ->
+    let rec loop lineno =
+      match input_line ic with
+      | exception End_of_file -> 0
+      | line when String.trim line = "" -> loop (lineno + 1)
+      | line ->
+          let reply = send line in
+          if Json.string_field "status" reply = Ok "ok" then loop (lineno + 1)
+          else begin
+            fail "%s:%d: %s" file lineno (reply_message reply);
+            2
+          end
+    in
+    loop 1
+  in
+  List.fold_left (fun rc f -> if rc <> 0 then rc else replay_file f) 0 files
+
 (* --- query: one-shot evaluation through the in-process service --- *)
 
 let query_cmd =
@@ -675,7 +737,6 @@ let query_cmd =
   in
   let run qtext loads engine count_only limit timeout_ms max_ticks shards
       pool_n gc_stats remote json =
-    let fail fmt = Printf.ksprintf (fun s -> prerr_endline ("error: " ^ s)) fmt in
     (* Shared tail: render one query reply and pick the exit code. *)
     let emit_reply reply report_gc =
       if json then begin
@@ -727,19 +788,74 @@ let query_cmd =
             fail "timeout (%s)" reason;
             3
         | Ok _ | Error _ ->
-            let msg =
-              match Json.string_field "message" reply with
-              | Ok m -> m
-              | Error _ -> "query failed"
-            in
-            fail "%s" msg;
+            fail "%s" (reply_message reply);
             2
+    in
+    (* --gc-stats: Gc.quick_stat deltas across the query request. *)
+    let report_gc g0 () =
+      let g1 = Gc.quick_stat () in
+      let minor = int_of_float (g1.Gc.minor_words -. g0.Gc.minor_words)
+      and major = int_of_float (g1.Gc.major_words -. g0.Gc.major_words)
+      and promoted =
+        int_of_float (g1.Gc.promoted_words -. g0.Gc.promoted_words)
+      in
+      if json then
+        print_endline
+          (Json.to_string
+             (Json.Obj
+                [
+                  ( "gc",
+                    Json.Obj
+                      [
+                        ("minor_words", Json.Int minor);
+                        ("promoted_words", Json.Int promoted);
+                        ("major_words", Json.Int major);
+                        ( "minor_collections",
+                          Json.Int
+                            (g1.Gc.minor_collections - g0.Gc.minor_collections)
+                        );
+                        ( "major_collections",
+                          Json.Int
+                            (g1.Gc.major_collections - g0.Gc.major_collections)
+                        );
+                        ( "compactions",
+                          Json.Int (g1.Gc.compactions - g0.Gc.compactions) );
+                      ] );
+                ]))
+      else
+        Printf.printf
+          "gc: minor_words=%d promoted_words=%d major_words=%d minor=%d \
+           major=%d compactions=%d\n"
+          minor promoted major
+          (g1.Gc.minor_collections - g0.Gc.minor_collections)
+          (g1.Gc.major_collections - g0.Gc.major_collections)
+          (g1.Gc.compactions - g0.Gc.compactions)
+    in
+    (* One path for both arms: replay the --load files, then send the
+       query, over [send] - the in-process server or a remote one. *)
+    let session ~engine ~gc send =
+      let rc = replay_loads ~send loads in
+      if rc <> 0 then rc
+      else begin
+        let opts =
+          { Lb_service.Protocol.engine; count_only; limit; timeout_ms;
+            max_ticks }
+        in
+        let line =
+          Lb_service.Protocol.request_to_string
+            (Lb_service.Protocol.Query { text = qtext; opts })
+        in
+        let g0 = if gc then Some (Gc.quick_stat ()) else None in
+        let reply = send line in
+        emit_reply reply
+          (match g0 with Some g0 -> report_gc g0 | None -> fun () -> ())
+      end
     in
     if shards < 1 then begin
       fail "--shards must be >= 1";
       2
     end
-    else begin
+    else
       match
         match engine with
         | None -> Ok None
@@ -748,204 +864,34 @@ let query_cmd =
       | Error msg ->
           fail "%s" msg;
           2
-      | Ok engine when remote <> None -> (
-          (* Remote mode: same requests, over the typed client. *)
-          let addr = Option.get remote in
-          let parsed =
-            match String.rindex_opt addr ':' with
-            | Some i -> (
-                match
-                  int_of_string_opt
-                    (String.sub addr (i + 1) (String.length addr - i - 1))
-                with
-                | Some port -> Ok (String.sub addr 0 i, port)
-                | None -> Error (Printf.sprintf "bad port in %S" addr))
-            | None -> Error (Printf.sprintf "--remote expects HOST:PORT, got %S" addr)
-          in
-          match parsed with
-          | Error msg ->
-              fail "%s" msg;
-              2
-          | Ok (host, port) -> (
-              match Lb_service.Client.connect ~host ~port () with
+      | Ok engine -> (
+          match remote with
+          | Some addr -> (
+              match host_port addr with
               | Error msg ->
-                  fail "cannot connect to %s: %s" addr msg;
+                  fail "--remote: %s" msg;
                   2
-              | Ok client ->
-                  Fun.protect
-                    ~finally:(fun () -> Lb_service.Client.close client)
-                  @@ fun () ->
-                  let replay_line file lineno line =
-                    if String.trim line = "" then 0
-                    else
-                      match Lb_service.Client.raw_request client line with
-                      | Error msg ->
-                          fail "%s:%d: %s" file lineno msg;
-                          2
-                      | Ok reply ->
-                          if Lb_service.Client.reply_ok reply then 0
-                          else begin
-                            fail "%s:%d: %s" file lineno
-                              (Lb_service.Client.error_message reply);
-                            2
-                          end
-                  in
-                  let replay_file file =
-                    let ic = if file = "-" then stdin else open_in file in
-                    Fun.protect
-                      ~finally:(fun () -> if file <> "-" then close_in ic)
-                    @@ fun () ->
-                    let rc = ref 0 and lineno = ref 0 in
-                    (try
-                       while !rc = 0 do
-                         let line = input_line ic in
-                         Stdlib.incr lineno;
-                         rc := replay_line file !lineno line
-                       done
-                     with End_of_file -> ());
-                    !rc
-                  in
-                  let rec replay = function
-                    | [] -> 0
-                    | f :: rest ->
-                        let rc = replay_file f in
-                        if rc <> 0 then rc else replay rest
-                  in
-                  let rc = replay loads in
-                  if rc <> 0 then rc
-                  else begin
-                    let opts =
-                      { Lb_service.Protocol.engine; count_only; limit;
-                        timeout_ms; max_ticks }
-                    in
-                    match
-                      Lb_service.Client.query ~opts client qtext
-                    with
-                    | Error msg ->
-                        fail "%s" msg;
-                        2
-                    | Ok reply -> emit_reply reply (fun () -> ())
-                  end))
-      | Ok engine ->
-          let with_pool f =
-            if pool_n = 1 then f None
-            else
-              let pool =
-                if pool_n = 0 then Lb_util.Pool.recommended ()
-                else Lb_util.Pool.create pool_n
+              | Ok (host, port) -> (
+                  match Lb_service.Client.connect ~host ~port () with
+                  | Error msg ->
+                      fail "cannot connect to %s: %s" addr msg;
+                      2
+                  | Ok client ->
+                      Fun.protect
+                        ~finally:(fun () -> Lb_service.Client.close client)
+                      @@ fun () ->
+                      session ~engine ~gc:false (fun line ->
+                          match Lb_service.Client.raw_request client line with
+                          | Ok reply -> reply
+                          | Error msg -> Lb_service.Protocol.error_response msg)
+                  ))
+          | None ->
+              with_pool pool_n @@ fun pool ->
+              let config =
+                { Lb_service.Server.default_config with pool; shards }
               in
-              Fun.protect ~finally:(fun () -> Lb_util.Pool.shutdown pool)
-                (fun () -> f (Some pool))
-          in
-          with_pool @@ fun pool ->
-          let config =
-            {
-              Lb_service.Server.default_config with
-              pool;
-              shards;
-            }
-          in
-          let server = Lb_service.Server.create ~config () in
-          (* Replay the load files through the same request path the
-             server uses, stopping at the first failing line. *)
-          let replay_line file lineno line =
-            if String.trim line = "" then 0
-            else begin
-              let reply = Json.parse (Lb_service.Server.handle_line server line) in
-              match Json.string_field "status" reply with
-              | Ok "ok" -> 0
-              | Ok status ->
-                  let detail =
-                    match Json.string_field "message" reply with
-                    | Ok m -> m
-                    | Error _ -> status
-                  in
-                  fail "%s:%d: %s" file lineno detail;
-                  2
-              | Error msg ->
-                  fail "%s:%d: %s" file lineno msg;
-                  2
-            end
-          in
-          let replay_file file =
-            let ic = if file = "-" then stdin else open_in file in
-            Fun.protect ~finally:(fun () -> if file <> "-" then close_in ic)
-            @@ fun () ->
-            let rc = ref 0 and lineno = ref 0 in
-            (try
-               while !rc = 0 do
-                 let line = input_line ic in
-                 Stdlib.incr lineno;
-                 rc := replay_line file !lineno line
-               done
-             with End_of_file -> ());
-            !rc
-          in
-          let rec replay = function
-            | [] -> 0
-            | f :: rest ->
-                let rc = replay_file f in
-                if rc <> 0 then rc else replay rest
-          in
-          let rc = replay loads in
-          if rc <> 0 then rc
-          else begin
-            let opts =
-              { Lb_service.Protocol.engine; count_only; limit; timeout_ms;
-                max_ticks }
-            in
-            let gc0 = if gc_stats then Some (Gc.quick_stat ()) else None in
-            let reply =
-              Lb_service.Server.handle server
-                (Lb_service.Protocol.Query { text = qtext; opts })
-            in
-            let report_gc () =
-              match gc0 with
-              | None -> ()
-              | Some g0 ->
-                  let g1 = Gc.quick_stat () in
-                  let minor = int_of_float (g1.Gc.minor_words -. g0.Gc.minor_words)
-                  and major = int_of_float (g1.Gc.major_words -. g0.Gc.major_words)
-                  and promoted =
-                    int_of_float (g1.Gc.promoted_words -. g0.Gc.promoted_words)
-                  in
-                  if json then
-                    print_endline
-                      (Json.to_string
-                         (Json.Obj
-                            [
-                              ( "gc",
-                                Json.Obj
-                                  [
-                                    ("minor_words", Json.Int minor);
-                                    ("promoted_words", Json.Int promoted);
-                                    ("major_words", Json.Int major);
-                                    ( "minor_collections",
-                                      Json.Int
-                                        (g1.Gc.minor_collections
-                                        - g0.Gc.minor_collections) );
-                                    ( "major_collections",
-                                      Json.Int
-                                        (g1.Gc.major_collections
-                                        - g0.Gc.major_collections) );
-                                    ( "compactions",
-                                      Json.Int
-                                        (g1.Gc.compactions - g0.Gc.compactions)
-                                    );
-                                  ] );
-                            ]))
-                  else
-                    Printf.printf
-                      "gc: minor_words=%d promoted_words=%d major_words=%d \
-                       minor=%d major=%d compactions=%d\n"
-                      minor promoted major
-                      (g1.Gc.minor_collections - g0.Gc.minor_collections)
-                      (g1.Gc.major_collections - g0.Gc.major_collections)
-                      (g1.Gc.compactions - g0.Gc.compactions)
-            in
-            emit_reply reply report_gc
-          end
-    end
+              let server = Lb_service.Server.create ~config () in
+              session ~engine ~gc:gc_stats (local_send server))
   in
   let doc =
     "Evaluate one join query through the in-process query service: load \
@@ -970,44 +916,8 @@ let explain_cmd =
     Arg.(value & opt_all string [] & info [ "load" ] ~docv:"FILE" ~doc)
   in
   let run qtext loads json =
-    let fail fmt = Printf.ksprintf (fun s -> prerr_endline ("error: " ^ s)) fmt in
     let server = Lb_service.Server.create () in
-    let replay_file file =
-      let ic = if file = "-" then stdin else open_in file in
-      Fun.protect ~finally:(fun () -> if file <> "-" then close_in ic)
-      @@ fun () ->
-      let rc = ref 0 and lineno = ref 0 in
-      (try
-         while !rc = 0 do
-           let line = input_line ic in
-           Stdlib.incr lineno;
-           if String.trim line <> "" then begin
-             let reply = Json.parse (Lb_service.Server.handle_line server line) in
-             match Json.string_field "status" reply with
-             | Ok "ok" -> ()
-             | Ok status ->
-                 let detail =
-                   match Json.string_field "message" reply with
-                   | Ok m -> m
-                   | Error _ -> status
-                 in
-                 fail "%s:%d: %s" file !lineno detail;
-                 rc := 2
-             | Error msg ->
-                 fail "%s:%d: %s" file !lineno msg;
-                 rc := 2
-           end
-         done
-       with End_of_file -> ());
-      !rc
-    in
-    let rec replay = function
-      | [] -> 0
-      | f :: rest ->
-          let rc = replay_file f in
-          if rc <> 0 then rc else replay rest
-    in
-    let rc = replay loads in
+    let rc = replay_loads ~send:(local_send server) loads in
     if rc <> 0 then rc
     else begin
       let reply =
@@ -1145,18 +1055,6 @@ let serve_cmd =
     in
     Arg.(value & opt int 64 & info [ "snapshot-every" ] ~docv:"N" ~doc)
   in
-  let snapshot_bytes_arg =
-    let doc =
-      "With --data-dir: also checkpoint whenever the WAL file exceeds \
-       this many bytes (size-based trips are counted as \
-       serve.wal.snapshot_bytes_trips).  Unset = record-count policy \
-       only."
-    in
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "snapshot-bytes" ] ~docv:"BYTES" ~doc)
-  in
   let stats_json_arg =
     let doc =
       "On exit, print the server's final stats (the \"stats\" op's JSON \
@@ -1179,28 +1077,17 @@ let serve_cmd =
   in
   let run port host max_pending plan_cache result_cache timeout_ms max_ticks
       max_rows pool_n shards no_ivm data_dir snapshot_every
-      snapshot_bytes stats_json workers =
-    let parse_workers s =
-      let parts = String.split_on_char ',' s in
-      List.fold_right
-        (fun part acc ->
-          Result.bind acc (fun acc ->
-              match String.rindex_opt part ':' with
-              | Some i -> (
-                  match
-                    int_of_string_opt
-                      (String.sub part (i + 1) (String.length part - i - 1))
-                  with
-                  | Some p -> Ok ((String.sub part 0 i, p) :: acc)
-                  | None -> Error (Printf.sprintf "bad port in %S" part))
-              | None ->
-                  Error (Printf.sprintf "worker %S is not HOST:PORT" part)))
-        parts (Ok [])
-    in
+      stats_json workers =
     let workers =
       match workers with
       | None -> Ok []
-      | Some s -> parse_workers s
+      | Some s ->
+          List.fold_right
+            (fun part acc ->
+              Result.bind acc (fun acc ->
+                  Result.map (fun hp -> hp :: acc) (host_port part)))
+            (String.split_on_char ',' s)
+            (Ok [])
     in
     match workers with
     | Error msg ->
@@ -1215,17 +1102,7 @@ let serve_cmd =
       2
     end
     else begin
-      let with_pool f =
-        if pool_n = 1 then f None
-        else
-          let pool =
-            if pool_n = 0 then Lb_util.Pool.recommended ()
-            else Lb_util.Pool.create pool_n
-          in
-          Fun.protect ~finally:(fun () -> Lb_util.Pool.shutdown pool)
-            (fun () -> f (Some pool))
-      in
-      with_pool (fun pool ->
+      with_pool pool_n (fun pool ->
           let config =
             {
               Lb_service.Server.max_pending;
@@ -1239,7 +1116,6 @@ let serve_cmd =
               ivm = not no_ivm;
               data_dir;
               snapshot_every;
-              snapshot_bytes;
               protocol_max =
                 (if workers <> [] then Lb_service.Protocol.max_version
                  else Lb_service.Protocol.version);
@@ -1274,7 +1150,7 @@ let serve_cmd =
       const run $ port_arg $ host_arg $ max_pending_arg $ plan_cache_arg
       $ result_cache_arg $ timeout_arg $ max_ticks_arg $ max_rows_arg
       $ pool_arg $ shards_arg $ no_ivm_arg $ data_dir_arg
-      $ snapshot_every_arg $ snapshot_bytes_arg $ stats_json_arg
+      $ snapshot_every_arg $ stats_json_arg
       $ workers_arg)
 
 (* --- worker: one shard process of a distributed serve topology --- *)
@@ -1295,18 +1171,7 @@ let worker_cmd =
     Arg.(value & opt int 1 & info [ "pool" ] ~docv:"N" ~doc)
   in
   let run port host pool_n =
-    let with_pool f =
-      if pool_n = 1 then f None
-      else
-        let pool =
-          if pool_n = 0 then Lb_util.Pool.recommended ()
-          else Lb_util.Pool.create pool_n
-        in
-        Fun.protect
-          ~finally:(fun () -> Lb_util.Pool.shutdown pool)
-          (fun () -> f (Some pool))
-    in
-    with_pool (fun pool ->
+    with_pool pool_n (fun pool ->
         let config = { Lb_service.Server.default_config with pool } in
         Lb_service.Worker.run ~host ~config ~port ();
         0)

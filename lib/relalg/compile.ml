@@ -25,9 +25,10 @@
    distributed [subset]s) - and the totals equal the textbook
    per-level accounting.  After a mid-query budget exhaustion the
    sequential driver's partial counters are the textbook ones; the
-   Domain-parallel and sharded drivers merge each task's counters only
-   after the fan-out returns, so their partials hold just the work
-   charged before it.  test/test_compile.ml holds this line against an
+   Domain-parallel and sharded drivers merge each task's counters when
+   the fan-out ends, also when a budget cut it short, so their partials
+   hold the level-0 work plus the deep work charged before the
+   exhaustion.  test/test_compile.ml holds this line against an
    independent sequential reference (test/reference/wcoj_ref.ml).
 
    Depth resolution without tries: an atom's trie levels are its
@@ -706,8 +707,8 @@ let run_seq m c f =
    The first variable's candidates become tasks: a fully-probed
    assignment prefix (1 or 2 variables) plus the per-atom ranges after
    binding it.  Chunks of tasks are claimed dynamically by the pool's
-   domains and per-chunk counters are merged at the end, so totals
-   equal the sequential run's. *)
+   domains and per-chunk counters are merged at the end (also after an
+   exhaustion), so totals equal the sequential run's. *)
 
 type task = { plen : int; v0 : int; v1 : int; st : int array }
 
@@ -780,14 +781,18 @@ let run_par m pool c ~make_acc ~consume =
   let nchunks = (ntasks + per_chunk - 1) / per_chunk in
   let accs = Array.init nchunks (fun _ -> make_acc ()) in
   let ctrs = Array.init nchunks (fun _ -> fresh_counters ()) in
-  Pool.run pool ~chunks:nchunks (fun k ->
-      let ws = make_ws m in
-      let ck = ctrs.(k) and acc = accs.(k) in
-      let t1 = min ntasks ((k + 1) * per_chunk) in
-      for ti = k * per_chunk to t1 - 1 do
-        run_task m ws ck tasks.(ti) ~consume acc
-      done);
-  merge_counters c ctrs;
+  (* merged also when a budget fires mid-fan-out, so partial counters
+     keep the deep work charged before the exhaustion *)
+  Fun.protect
+    ~finally:(fun () -> merge_counters c ctrs)
+    (fun () ->
+      Pool.run pool ~chunks:nchunks (fun k ->
+          let ws = make_ws m in
+          let ck = ctrs.(k) and acc = accs.(k) in
+          let t1 = min ntasks ((k + 1) * per_chunk) in
+          for ti = k * per_chunk to t1 - 1 do
+            run_task m ws ck tasks.(ti) ~consume acc
+          done));
   accs
 
 (* Parallel execution pays off only past the first variable; trivial
@@ -809,9 +814,20 @@ let new_rows () = ref []
 
 let keep r a = r := Array.copy a :: !r
 
-let rows_of = function
-  | [| r |] -> !r
-  | accs -> Array.fold_left (fun acc r -> List.rev_append !r acc) [] accs
+(* The kept rows as a relation over [ir.order].  Every assignment is
+   enumerated once (and each level-0 value lives in one shard), so the
+   rows are distinct by construction: sorted in place, never copied
+   again. *)
+let relation_of ir accs =
+  let rows =
+    match accs with
+    | [| r |] -> Array.of_list !r
+    | accs ->
+        Array.of_list
+          (Array.fold_left (fun acc r -> List.rev_append !r acc) [] accs)
+  in
+  Array.sort Relation.compare_tuples rows;
+  Relation.of_sorted_distinct ir.order rows
 
 (* --- public unsharded entry points --- *)
 
@@ -839,8 +855,7 @@ let count_bounded ?counters ?ctx ir db q =
   Budget.protect (fun () -> count ?counters ?ctx ir db q)
 
 let answer ?ctx ir db q =
-  Relation.make ir.order
-    (rows_of (drive ?ctx ir db q ~make_acc:new_rows ~consume:keep))
+  relation_of ir (drive ?ctx ir db q ~make_acc:new_rows ~consume:keep)
 
 (* Sequential, the assignment array reused between calls. *)
 let iter ?counters ?ctx ir db q f =
@@ -1108,13 +1123,15 @@ let run_units machs (tasks : task array array) units pool c ~make_acc ~consume
       run_task m ws ck tasks.(s).(ti) ~consume acc
     done
   in
-  (match pool with
-  | Some p when Pool.size p > 1 && nu > 1 -> Pool.run p ~chunks:nu body
-  | _ ->
-      for u = 0 to nu - 1 do
-        body u
-      done);
-  merge_counters c ctrs;
+  Fun.protect
+    ~finally:(fun () -> merge_counters c ctrs)
+    (fun () ->
+      match pool with
+      | Some p when Pool.size p > 1 && nu > 1 -> Pool.run p ~chunks:nu body
+      | _ ->
+          for u = 0 to nu - 1 do
+            body u
+          done);
   accs
 
 let sharded_drive ?counters ?ctx ?partition ?view ?(subset = all_shards)
@@ -1161,10 +1178,9 @@ let count_sharded ?counters ?ctx ?partition ?view ?subset ~shards ir db q =
        ~make_acc:new_count ~consume:tally)
 
 let run_sharded ?counters ?ctx ?partition ?view ?subset ~shards ir db q =
-  Relation.make ir.order
-    (rows_of
-       (sharded_drive ?counters ?ctx ?partition ?view ?subset ~shards ir db q
-          ~make_acc:new_rows ~consume:keep))
+  relation_of ir
+    (sharded_drive ?counters ?ctx ?partition ?view ?subset ~shards ir db q
+       ~make_acc:new_rows ~consume:keep)
 
 (* --- engine facades: lower against the caller's order, run, and add
    the executor's counters to the caller's record under the engine's

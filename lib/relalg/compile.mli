@@ -20,9 +20,11 @@
     and any cover of distributed {!subset}s).  After a mid-query budget
     exhaustion the sequential driver leaves the textbook partial
     counters; the Domain-parallel and sharded drivers merge each task's
-    counters only after the fan-out, so theirs hold just the work
-    charged before it.  Counters go to the engine's metric names
-    ([generic_join.*] / [leapfrog.*]). *)
+    counters when the fan-out ends, also when the budget cut it short,
+    so theirs hold the level-0 work plus every task's work charged
+    before the exhaustion (the sequential sharded driver: the level-0
+    pass, then the deep tasks in shard order).  Counters go to the
+    engine's metric names ([generic_join.*] / [leapfrog.*]). *)
 
 type engine = Generic | Leapfrog
 

@@ -134,18 +134,11 @@ let negotiate t =
       | Ok reply -> Error (error_message reply))
   | Ok reply -> Error (error_message reply)
 
-(* A peer dying between our write and its read raises SIGPIPE, whose
-   default disposition kills the process - the opposite of the
-   degrade-don't-die contract.  Ignore it once; writes then fail with
-   EPIPE, which the senders above surface as [Error]. *)
-let ignore_sigpipe =
-  lazy
-    (match Sys.signal Sys.sigpipe Sys.Signal_ignore with
-    | _ -> ()
-    | exception Invalid_argument _ -> ())
-
+(* A peer dying between our write and its read would raise SIGPIPE;
+   with it ignored, writes fail with EPIPE, which the senders above
+   surface as [Error]. *)
 let connect ?timeout_ms ?(host = "127.0.0.1") ~port () =
-  Lazy.force ignore_sigpipe;
+  Server.ignore_sigpipe ();
   let addr =
     match Unix.inet_addr_of_string host with
     | a -> Some a

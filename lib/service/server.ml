@@ -36,8 +36,6 @@ type config = {
   ivm : bool;
   data_dir : string option;
   snapshot_every : int;
-  snapshot_bytes : int option;
-      (* also checkpoint whenever the WAL exceeds this many bytes *)
   protocol_max : int;
       (* highest request "v" this server accepts; 1 = classic serve,
          2 = the worker/coordinator surface is live *)
@@ -56,7 +54,6 @@ let default_config =
     ivm = true;
     data_dir = None;
     snapshot_every = 64;
-    snapshot_bytes = None;
     protocol_max = Protocol.version;
   }
 
@@ -378,17 +375,7 @@ let log_mutation t record =
       Wal.append d.writer ~version:(Catalog.version t.catalog) record;
       incr t "serve.wal.appends";
       d.since_snapshot <- d.since_snapshot + 1;
-      (* Size-based trip: alongside the record-count policy, so a few
-         huge loads cannot balloon replay time under the record cap. *)
-      let bytes_tripped =
-        match t.config.snapshot_bytes with
-        | Some limit when Wal.size d.writer > limit ->
-            incr t "serve.wal.snapshot_bytes_trips";
-            true
-        | _ -> false
-      in
-      if bytes_tripped || d.since_snapshot >= max 1 t.config.snapshot_every
-      then checkpoint t
+      if d.since_snapshot >= max 1 t.config.snapshot_every then checkpoint t
 
 (* Decoders for the snapshot document; malformed pieces degrade softly
    (a bad cached result is skipped, a bad snapshot ignored entirely). *)
@@ -1695,7 +1682,19 @@ let serve_pipe t fd oc =
   in
   loop ()
 
+(* A peer that closes before reading its replies makes the next write
+   raise SIGPIPE, whose default disposition kills the process - the
+   opposite of the degrade-don't-die contract.  Both socket ends (this
+   listener and {!Client.connect}) ignore it; writes then fail with
+   EPIPE, which surfaces as an exception the caller handles.  Set on
+   every call, not once: a forked child must not rely on its parent's
+   disposition. *)
+let ignore_sigpipe () =
+  try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
+  with Invalid_argument _ -> ()
+
 let serve_tcp ?(host = "127.0.0.1") t ~port =
+  ignore_sigpipe ();
   let addr = Unix.inet_addr_of_string host in
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt sock Unix.SO_REUSEADDR true;

@@ -84,11 +84,6 @@ type config = {
       (** durability root (snapshot + WAL); [None] = in-memory only. *)
   snapshot_every : int;
       (** checkpoint after this many WAL records (min 1). *)
-  snapshot_bytes : int option;
-      (** also checkpoint whenever the WAL file exceeds this many
-          bytes (`--snapshot-bytes`); each trip is counted as
-          [serve.wal.snapshot_bytes_trips].  [None] = record-count
-          policy only. *)
   protocol_max : int;
       (** highest request ["v"] accepted on the wire
           ({!Protocol.version} = classic serve; {!Protocol.max_version}
@@ -101,7 +96,7 @@ type config = {
 
 (** 64 pending, 256-entry plan cache, 128-entry result cache, no
     default budgets, 10_000 returned rows, no pool, 1 shard,
-    compilation on, IVM on, no data dir, snapshot every 64 records,
+    IVM on, no data dir, snapshot every 64 records,
     [protocol_max] = {!Protocol.version} (v2 ops off). *)
 val default_config : config
 
@@ -178,5 +173,12 @@ val submit_window : t -> Protocol.request list -> Json.t list
 val serve_pipe : t -> Unix.file_descr -> out_channel -> unit
 
 (** Accept TCP connections (one at a time) on [host]:[port], serving
-    each with {!serve_pipe} until a [shutdown] request arrives. *)
+    each with {!serve_pipe} until a [shutdown] request arrives.  A
+    client that vanishes mid-reply ends only its own connection
+    (SIGPIPE is ignored, see {!ignore_sigpipe}). *)
 val serve_tcp : ?host:string -> t -> port:int -> unit
+
+(** Ignore SIGPIPE for the rest of the process, so a write to a closed
+    socket fails with EPIPE instead of killing the process.  Called by
+    {!serve_tcp} and {!Client.connect}. *)
+val ignore_sigpipe : unit -> unit

@@ -237,19 +237,17 @@ let answer ~engine ?order db q =
   iter ~engine ~order db q (fun a -> rows := Array.copy a :: !rows);
   Relation.make order !rows
 
-(* [count] in the order the executor's pooled and sharded drivers
-   charge their work today, defects included - not the textbook
-   accounting.  First the level-0 candidates, each expanded one level
-   deeper when its smallest level-1 range exceeds
-   [Compile.split_threshold], then the resulting tasks grouped by
-   [Shard.shard_of ~k:shards] of their first value (stable within a
-   shard).  The deep tasks' counters are added only once every task has
-   run, as the drivers merge per-unit counters after the fan-out: if
-   the budget runs out among the deep tasks, their work and rows are
-   lost from the partial counters.  With a budget this therefore
-   yields the sharded driver's present partial counters at [shards];
-   the checks that hold under any merge order (partial <= total,
-   ticks spent = budget) are stated in test_compile separately. *)
+(* [count] in the order the executor's sequential sharded driver
+   charges its work - not the textbook accounting.  First the level-0
+   candidates, each expanded one level deeper when its smallest level-1
+   range exceeds [Compile.split_threshold], then the resulting tasks
+   grouped by [Shard.shard_of ~k:shards] of their first value (stable
+   within a shard), run in that order.  Deep work is charged as it
+   happens, as the driver merges its per-unit counters also when the
+   budget fires among the deep tasks.  With a budget this yields the
+   sharded driver's partial counters at [shards]; the checks that hold
+   under any order (partial <= total, ticks spent = budget) are stated
+   in test_compile separately. *)
 let count_staged ~engine ?order ?budget ?counters ~shards db q =
   let split = Lb_relalg.Compile.split_threshold in
   let _, c, ctx = setup ?order ?budget ?counters db q in
@@ -275,15 +273,13 @@ let count_staged ~engine ?order ?budget ?counters ~shards db q =
     let ordered =
       List.stable_sort (fun x y -> compare (shard x) (shard y)) (List.rev !tasks)
     in
-    let deep = fresh_counters () in
+    let emitted0 = c.emitted in
     List.iter
       (fun (plen, a, st) ->
         Array.blit a 0 ws.assignment 0 plen;
         Array.blit st 0 ws.stack.(plen) 0 (Array.length st);
-        enum engine ctx ws deep ~level:plen ~stop:ctx.nvars (fun () ->
-            deep.emitted <- deep.emitted + 1))
+        enum engine ctx ws c ~level:plen ~stop:ctx.nvars (fun () ->
+            c.emitted <- c.emitted + 1))
       ordered;
-    c.work <- c.work + deep.work;
-    c.emitted <- c.emitted + deep.emitted;
-    deep.emitted
+    c.emitted - emitted0
   end

@@ -9,12 +9,12 @@
    points.  Partial counters after a mid-query exhaustion: the
    sequential driver's must equal the reference's textbook order; the
    sharded driver's equal [Wcoj_ref.count_staged], a model of its
-   present merge-after-fan-out order (deep work lost from partials),
-   and separately satisfy checks that hold under any merge order.
+   level-0-then-deep-tasks order, and separately satisfy checks that
+   hold under any merge order.
    The Generic_join / Leapfrog facades are checked against the same
    reference.  "interpreted" in the test names is that reference: the
-   plain interpreted form of both engines.  Instances reuse the
-   generators and seeds of test_join_engine.ml. *)
+   plain interpreted form of both engines.  Instances come from
+   Session's generators, with the seeds of test_join_engine.ml. *)
 
 module Q = Lb_relalg.Query
 module R = Lb_relalg.Relation
@@ -28,36 +28,9 @@ module Prng = Lb_util.Prng
 module Budget = Lb_util.Budget
 module Exec = Lb_util.Exec
 module Metrics = Lb_util.Metrics
+open Session
 
 let check = Alcotest.check
-
-(* --- random instances (same generators and seeds as
-   test_join_engine.ml) --- *)
-
-let var_pool = [| "a"; "b"; "c"; "d" |]
-
-let random_query rng =
-  let nvars = 2 + Prng.int rng 3 in
-  let natoms = 1 + Prng.int rng 3 in
-  List.init natoms (fun i ->
-      let arity = 1 + Prng.int rng 3 in
-      let vs = Array.init arity (fun _ -> var_pool.(Prng.int rng nvars)) in
-      Q.atom (Printf.sprintf "R%d" i) vs)
-
-let random_db rng (q : Q.t) =
-  let dom = 2 + Prng.int rng 4 in
-  Db.of_list
-    (List.map
-       (fun (a : Q.atom) ->
-         let arity = Array.length a.Q.attrs in
-         let nrows = if Prng.bernoulli rng 0.05 then 0 else 1 + Prng.int rng 12 in
-         let tuples =
-           List.init nrows (fun _ ->
-               Array.init arity (fun _ -> Prng.int rng dom))
-         in
-         let attrs = Array.init arity (Printf.sprintf "c%d") in
-         (a.Q.rel, R.make attrs tuples))
-       q)
 
 (* Reference (count, work, emitted) of the sequential enumerator. *)
 let reference eng db q =
@@ -84,11 +57,6 @@ let facade_count eng ?ctx (c : C.counters) db q =
           c.C.emitted <- cs.Lf.emitted)
         (fun () -> Lf.count ~counters:cs ?ctx db q)
 
-let facade eng db q =
-  let c = C.fresh_counters () in
-  let n = facade_count eng c db q in
-  (n, c.C.work, c.C.emitted)
-
 let engines = [ C.Generic; C.Leapfrog ]
 
 let triple = Alcotest.(triple int int int)
@@ -111,7 +79,9 @@ let test_differential_seq () =
         let n_c = C.count ~counters:cc ir db q in
         check triple (ctxt ^ ": count, work, emitted") want
           (n_c, cc.C.work, cc.C.emitted);
-        check triple (ctxt ^ ": facade") want (facade eng db q);
+        let fc = C.fresh_counters () in
+        let n_f = facade_count eng fc db q in
+        check triple (ctxt ^ ": facade") want (n_f, fc.C.work, fc.C.emitted);
         let ic = C.fresh_counters () and seen = ref 0 in
         C.iter ~counters:ic ir db q (fun _ -> incr seen);
         check triple (ctxt ^ ": iter") want (!seen, ic.C.work, ic.C.emitted);
@@ -233,23 +203,6 @@ let test_differential_pooled () =
 
 (* --- budget exhaustion mid-query: partial counters must match --- *)
 
-let broom_relation n attrs =
-  let tuples = ref [ [| 0; 0 |] ] in
-  for i = 1 to n do
-    tuples := [| 0; i |] :: [| i; 0 |] :: !tuples
-  done;
-  R.make attrs !tuples
-
-let broom_db n =
-  Db.of_list
-    [
-      ("R", broom_relation n [| "a"; "b" |]);
-      ("S", broom_relation n [| "b"; "c" |]);
-      ("T", broom_relation n [| "a"; "c" |]);
-    ]
-
-let triangle = Q.parse "R(a,b), S(b,c), T(a,c)"
-
 (* (ticks at exhaustion, partial work, partial emitted) of a run that
    must exhaust its budget of [ticks]. *)
 let partial name ticks run =
@@ -275,39 +228,38 @@ let test_budget_exhaustion_partial_counters () =
       List.iter
         (fun eng ->
           let name = C.engine_name eng in
-          let ir = C.lower ~engine:eng triangle in
+          let ir = C.lower ~engine:eng broom_triangle in
           let ctx budget = Exec.make ~budget () in
-          let full = reference eng db triangle in
+          let full = reference eng db broom_triangle in
           (* unsharded: the sequential enumeration order *)
           let want =
             partial (name ^ " reference") ticks (fun budget counters ->
-                Ref.count ~engine:eng ~budget ~counters db triangle)
+                Ref.count ~engine:eng ~budget ~counters db broom_triangle)
           in
           let seq =
             partial name ticks (fun budget counters ->
-                C.count ~counters ~ctx:(ctx budget) ir db triangle)
+                C.count ~counters ~ctx:(ctx budget) ir db broom_triangle)
           in
           check triple (name ^ " sequential partials") want seq;
           order_free (name ^ " sequential") ticks full seq;
           check triple (name ^ " facade partials") want
             (partial name ticks (fun budget counters ->
-                 facade_count eng ~ctx:(ctx budget) counters db triangle));
+                 facade_count eng ~ctx:(ctx budget) counters db broom_triangle));
           (* sharded: level-0 candidates first, then the deep tasks in
-             shard order, whose counters merge after the fan-out - the
-             present charging order, which [Ref.count_staged] models *)
+             shard order, which [Ref.count_staged] models *)
           List.iter
             (fun shards ->
               let label = Printf.sprintf "%s sharded k=%d" name shards in
               let got =
                 partial label ticks (fun budget counters ->
                     C.count_sharded ~counters ~ctx:(ctx budget) ~shards ir db
-                      triangle)
+                      broom_triangle)
               in
               order_free label ticks full got;
               check triple (label ^ " partials")
                 (partial (label ^ " reference") ticks (fun budget counters ->
                      Ref.count_staged ~engine:eng ~budget ~counters ~shards db
-                       triangle))
+                       broom_triangle))
                 got)
             [ 1; 3 ])
         engines)
@@ -320,13 +272,13 @@ let test_metrics_names () =
   let db = broom_db 40 in
   List.iter
     (fun (eng, prefix, work) ->
-      let n, w, e = reference eng db triangle in
-      let ir = C.lower ~engine:eng triangle in
+      let n, w, e = reference eng db broom_triangle in
+      let ir = C.lower ~engine:eng broom_triangle in
       let via_compile = Metrics.create () and via_facade = Metrics.create () in
-      ignore (C.count ~ctx:(Exec.make ~metrics:via_compile ()) ir db triangle);
+      ignore (C.count ~ctx:(Exec.make ~metrics:via_compile ()) ir db broom_triangle);
       (match eng with
-      | C.Generic -> ignore (Gj.count ~ctx:(Exec.make ~metrics:via_facade ()) db triangle)
-      | C.Leapfrog -> ignore (Lf.count ~ctx:(Exec.make ~metrics:via_facade ()) db triangle));
+      | C.Generic -> ignore (Gj.count ~ctx:(Exec.make ~metrics:via_facade ()) db broom_triangle)
+      | C.Leapfrog -> ignore (Lf.count ~ctx:(Exec.make ~metrics:via_facade ()) db broom_triangle));
       List.iter
         (fun m ->
           List.iter
@@ -344,7 +296,7 @@ let test_metrics_names () =
 (* --- the IR itself --- *)
 
 let test_lower_shape () =
-  let ir = C.lower ~engine:C.Generic triangle in
+  let ir = C.lower ~engine:C.Generic broom_triangle in
   check Alcotest.int "nvars" 3 ir.C.nvars;
   check Alcotest.int "natoms" 3 ir.C.natoms;
   check

@@ -1,271 +1,100 @@
 (* Distributed serve: coordinator + forked worker processes.
 
-   - Differential: for K in {1,2,3} shards over 2 workers, every query
-     reply (rows, counts, counters) must be byte-identical to a
-     single-process `--shards K` server fed the same seeded catalog
-     and write stream - including under per-request budgets, which are
-     never distributed.
-   - Fault injection: SIGKILL one worker mid-window; replies must come
-     back "degraded" with the complete (still identical) answer, and a
-     restarted worker on the same port must rejoin (reseed) and serve
-     again.
+   - Session matrix (Session): the worker cells {shards 1,2,3} x
+     {ivm on,off} x {durable on,off} x {2 workers} replay seeded
+     sessions - writes, queries under every engine and budget,
+     checkpoints, crash-restarts, worker kills and restarts - beside the
+     single-process reference cells {shards 1,2,3} x {ivm on,off}.
+     Every reply matches the set-semantics oracle; scrubbed of
+     "elapsed_ms", replies are byte-identical to the reference cells of
+     the same ivm setting (rows, counts and summed engine counters), and
+     a reply scattered while a worker is dead is marked "degraded" but
+     otherwise identical.  The smoke test runs one small session at
+     shards 2.
+   - Scripted sessions through the same runner: fresh replies carry
+     the summed engine counters; a read scattered while a worker is
+     dead is "degraded", and one after its restart is clean.
    - Cross-version splice fuzz: v2-only fields in v1 requests are
      ignored-with-counter; v1 requests stamped "v":2 against a plain
-     server draw the structured reject. *)
+     server draw the structured reject.
+   - A client that pipelines a window and vanishes without reading
+     ends only its own connection: the listener keeps serving. *)
 
-module Json = Lb_service.Json
-module Protocol = Lb_service.Protocol
-module Server = Lb_service.Server
-module Client = Lb_service.Client
-module Worker = Lb_service.Worker
-module Coordinator = Lb_service.Coordinator
-module Prng = Lb_util.Prng
+open Session (* also the module aliases: Json, Protocol, Server, ... *)
 
 let check = Alcotest.check
 
-let field name json =
-  match Json.member name json with
-  | Some v -> v
-  | None -> Alcotest.failf "reply lacks %S: %s" name (Json.to_string json)
-
-let status json =
-  match field "status" json with
-  | Json.String s -> s
-  | _ -> Alcotest.fail "non-string status"
-
-(* --- forked worker processes --- *)
-
-(* Ports unique per test process and per slot; the suite runs tests
-   sequentially, so consecutive tests reuse them only after the
-   previous worker died. *)
-let port_of slot = 7400 + (Unix.getpid () mod 997) + (slot * 13)
-
-let spawn_worker port =
-  match Unix.fork () with
-  | 0 ->
-      (* Child: serve until killed.  Never return into the test
-         runner. *)
-      (try Worker.run ~port () with _ -> ());
-      Unix._exit 0
-  | pid ->
-      (* Wait for the listener to come up. *)
-      let rec poll tries =
-        if tries = 0 then Alcotest.failf "worker on port %d never came up" port
-        else
-          match Client.connect ~timeout_ms:1000 ~port () with
-          | Ok c ->
-              check Alcotest.int "worker speaks v2" 2 (Client.version c);
-              Client.close c
-          | Error _ ->
-              Unix.sleepf 0.05;
-              poll (tries - 1)
-      in
-      poll 100;
-      pid
-
-let kill_worker pid =
-  (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-  try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()
-
-let with_workers n f =
-  let ports = List.init n port_of in
-  let pids = List.map spawn_worker ports in
-  Fun.protect
-    ~finally:(fun () -> List.iter kill_worker pids)
-    (fun () -> f ports)
-
-(* --- the seeded session: catalog, writes, queries, budgets --- *)
-
-let session_lines =
-  let rng = Prng.create 4242 in
-  let edges = List.init 80 (fun _ -> [ Prng.int rng 14; Prng.int rng 14 ]) in
-  let fresh = List.init 10 (fun _ -> [ Prng.int rng 14; Prng.int rng 14 ]) in
-  let tuples ts =
-    Json.List (List.map (fun t -> Json.List (List.map (fun v -> Json.Int v) t)) ts)
-  in
-  let load name ts =
-    Json.to_string
-      (Json.Obj
-         [
-           ("op", Json.String "load");
-           ("name", Json.String name);
-           ("attrs", Json.List [ Json.String "u"; Json.String "v" ]);
-           ("tuples", tuples ts);
-         ])
-  in
-  let tri = {|{"op":"query","q":"E(x,y), E(y,z), E(z,x)"}|} in
-  [
-    load "E" edges;
-    tri;
-    {|{"op":"query","q":"E(x,y), E(y,z)","count_only":true}|};
-    Json.to_string
-      (Json.Obj
-         [
-           ("op", Json.String "insert");
-           ("name", Json.String "E");
-           ("tuples", tuples fresh);
-         ]);
-    tri;
-    {|{"op":"query","q":"E(x,y), E(y,z), E(z,x)","engine":"leapfrog"}|};
-    {|{"op":"query","q":"E(x,y), E(y,z), E(z,x), E(x,w)","max_ticks":3}|};
-    Json.to_string
-      (Json.Obj
-         [
-           ("op", Json.String "delete");
-           ("name", Json.String "E");
-           ("tuples", tuples (List.filteri (fun i _ -> i < 5) fresh));
-         ]);
-    tri;
-    {|{"op":"query","q":"E(x,y), E(y,z), E(z,x)","limit":7}|};
-  ]
-
-(* Strip reply fields that legitimately differ across topologies:
-   wall-clock, and (for hello) nothing - we simply don't send hello
-   here. *)
-let scrub reply =
-  match reply with
-  | Json.Obj fields ->
-      Json.Obj (List.filter (fun (k, _) -> k <> "elapsed_ms") fields)
-  | other -> other
-
-let run_single ~shards lines =
-  let config = { Server.default_config with shards } in
-  let srv = Server.create ~config () in
-  List.map Json.parse (Client.run_script_lines srv lines)
-
-let run_distributed ~shards ~ports lines =
-  let config =
-    {
-      Server.default_config with
-      shards;
-      protocol_max = Protocol.max_version;
-    }
-  in
-  let srv = Server.create ~config () in
-  let coord =
-    Coordinator.attach ~timeout_ms:2000 srv ~shards
-      ~workers:(List.map (fun p -> ("127.0.0.1", p)) ports)
-  in
-  let replies = List.map Json.parse (Client.run_script_lines srv lines) in
-  Coordinator.detach coord;
-  replies
+(* The worker cells at [shards] beside their single-process
+   references. *)
+let cells ~shards =
+  matrix ~shards ~workers:2 ()
+  @ List.filter (fun c -> not c.durable) (matrix ~shards ~workers:0 ())
 
 let test_distributed_differential () =
-  with_workers 2 (fun ports ->
-      List.iter
-        (fun shards ->
-          let single = run_single ~shards session_lines in
-          let dist = run_distributed ~shards ~ports session_lines in
-          List.iteri
-            (fun i (s, d) ->
-              check Alcotest.string
-                (Printf.sprintf "K=%d reply %d byte-identical" shards i)
-                (Json.to_string (scrub s))
-                (Json.to_string (scrub d)))
-            (List.combine single dist))
-        [ 1; 2; 3 ])
+  with_fleet 2 (fun fleet ->
+      check_sessions ~name:"worker matrix" (fun steps ->
+          ignore (run_matrix ~fleet (cells ~shards:[ 1; 2; 3 ]) steps)))
 
-(* Fresh (uncached) query replies carry the engine counters; those
-   must match too - the work accounting is part of the contract, not
-   just the rows. *)
-let test_distributed_counters_identical () =
-  with_workers 2 (fun ports ->
-      let lines =
-        [
-          List.hd session_lines;
-          {|{"op":"query","q":"E(x,y), E(y,z), E(z,x)"}|};
-          {|{"op":"query","q":"E(x,y), E(y,z), E(z,x)","engine":"leapfrog"}|};
-        ]
-      in
-      let single = run_single ~shards:3 lines in
-      let dist = run_distributed ~shards:3 ~ports lines in
+(* In-process 2-worker smoke (the dist-smoke alias target): one small
+   session at shards 2. *)
+let test_dist_smoke () =
+  with_fleet 2 (fun fleet ->
+      ignore (run_matrix ~fleet (cells ~shards:[ 2 ]) (gen (Prng.create 7) ~size:2)))
+
+(* --- scripted sessions: a worker cell at shards 3 beside its
+   reference --- *)
+
+let worker_cell = { shards = 3; ivm = false; durable = false; workers = 2; pooled = false }
+
+(* The worker cell's replies to [steps] (the E edges loaded first),
+   checked by the runner against the oracle and the reference. *)
+let scripted fleet steps =
+  let rng = Prng.create 4242 in
+  let edges = List.init 80 (fun _ -> [ Prng.int rng 14; Prng.int rng 14 ]) in
+  let load = Send (Protocol.Load { name = "E"; attrs = [ "u"; "v" ]; tuples = edges }) in
+  let runs =
+    run_matrix ~fleet [ { worker_cell with workers = 0 }; worker_cell ]
+      ((load :: steps) @ epilogue ~dom:14)
+  in
+  List.map snd (List.assoc worker_cell runs)
+
+let query engine text =
+  Send (Protocol.Query { text; opts = { Protocol.default_opts with engine = Some engine } })
+
+(* Fresh replies carry the engine work counters: summed over the
+   workers, they are the single-process server's, byte for byte. *)
+let test_distributed_counters () =
+  with_fleet 2 (fun fleet ->
       List.iteri
-        (fun i (s, d) ->
-          check Alcotest.string
-            (Printf.sprintf "counters reply %d identical" i)
-            (Json.to_string (scrub s))
-            (Json.to_string (scrub d)))
-        (List.combine single dist))
+        (fun i reply ->
+          if i = 1 || i = 2 then
+            check Alcotest.bool
+              (Printf.sprintf "reply %d carries counters" i)
+              true
+              (Json.member "counters" reply <> None))
+        (scripted fleet
+           [ query Planner.Generic_join cyclic.(0); query Planner.Leapfrog cyclic.(2) ]))
 
-let test_worker_death_degrades_and_rejoins () =
-  let ports = [ port_of 4; port_of 5 ] in
-  let pids = List.map spawn_worker ports in
-  let cleanup = ref pids in
-  Fun.protect
-    ~finally:(fun () -> List.iter kill_worker !cleanup)
-    (fun () ->
-      let shards = 3 in
-      let config =
-        {
-          Server.default_config with
-          shards;
-          protocol_max = Protocol.max_version;
-        }
+(* A read scattered while a worker is dead comes back "degraded" with
+   the complete answer; a worker restarted on the same port rejoins
+   and the next read is clean again. *)
+let test_worker_death () =
+  with_fleet 2 (fun fleet ->
+      let replies =
+        scripted fleet
+          [
+            query Planner.Generic_join cyclic.(0);
+            Kill 1;
+            query Planner.Generic_join cyclic.(2);
+            Restart 1;
+            query Planner.Leapfrog cyclic.(3);
+          ]
       in
-      let srv = Server.create ~config () in
-      let coord =
-        Coordinator.attach ~timeout_ms:1000 srv ~shards
-          ~workers:(List.map (fun p -> ("127.0.0.1", p)) ports)
-      in
-      let load = List.hd session_lines in
-      (* Three distinct queries, so none is served from the result
-         cache - each phase forces a fresh scatter. *)
-      let q1 = {|{"op":"query","q":"E(x,y), E(y,z), E(z,x)"}|} in
-      (* ... and cyclic with a pinned WCOJ engine, so each one takes
-         the sharded (hence scattered) path rather than Yannakakis. *)
-      let q2 =
-        {|{"op":"query","q":"E(x,y), E(y,z), E(z,w), E(w,x)","engine":"generic_join"}|}
-      in
-      let q3 =
-        {|{"op":"query","q":"E(x,y), E(y,z), E(z,x), E(x,w)","engine":"leapfrog"}|}
-      in
-      let expected =
-        match run_single ~shards [ load; q1; q2; q3 ] with
-        | [ _; e1; e2; e3 ] -> (scrub e1, scrub e2, scrub e3)
-        | _ -> Alcotest.fail "bad single-process session"
-      in
-      let e1, e2, e3 = expected in
-      let q line = Json.parse (Server.handle_line srv line) in
-      ignore (Server.handle_line srv load);
-      let healthy = q q1 in
-      check Alcotest.string "healthy answer" (Json.to_string e1)
-        (Json.to_string (scrub healthy));
-      (* Kill worker 1; its slice must be absorbed, the reply marked
-         degraded but otherwise identical. *)
-      (match pids with
-      | [ _; p1 ] ->
-          kill_worker p1;
-          cleanup := [ List.hd pids ]
-      | _ -> assert false);
-      let degraded = q q2 in
-      check Alcotest.string "degraded status" "degraded" (status degraded);
-      let as_ok =
-        match scrub degraded with
-        | Json.Obj fields ->
-            Json.Obj
-              (List.map
-                 (fun (k, v) ->
-                   if k = "status" then (k, Json.String "ok") else (k, v))
-                 fields)
-        | other -> other
-      in
-      check Alcotest.string "degraded answer still complete"
-        (Json.to_string e2) (Json.to_string as_ok);
-      (match
-         Lb_util.Metrics.find_counter (Server.metrics srv)
-           "serve.dist.degraded"
-       with
-      | Some n when n >= 1 -> ()
-      | _ -> Alcotest.fail "degraded scatter not counted");
-      (* Restart a worker on the same port: the next scatter reconnects,
-         reseeds, and the reply is clean again. *)
-      let p1' = spawn_worker (List.nth ports 1) in
-      cleanup := p1' :: !cleanup;
-      let recovered = q q3 in
-      check Alcotest.string "recovered status" "ok" (status recovered);
-      check Alcotest.string "recovered answer" (Json.to_string e3)
-        (Json.to_string (scrub recovered));
-      Coordinator.detach coord)
+      List.iteri
+        (fun i want ->
+          check Alcotest.string (Printf.sprintf "reply %d status" i) want
+            (status (List.nth replies i)))
+        [ "ok"; "ok"; "degraded"; "ok" ])
 
 (* --- cross-version splice fuzz --- *)
 
@@ -334,21 +163,50 @@ let test_cross_version_splice_fuzz () =
   let reply = Json.parse (Server.handle_line wrk bare) in
   check Alcotest.string "bare v2 op rejected" "error" (status reply)
 
-(* In-process 2-worker smoke: the dist-smoke alias target.  Forks are
-   cheap; this keeps `dune runtest` covering the wire path end to
-   end. *)
-let test_dist_smoke () =
-  with_workers 2 (fun ports ->
-      let lines = [ List.hd session_lines; List.nth session_lines 1 ] in
-      let dist = run_distributed ~shards:2 ~ports lines in
-      let single = run_single ~shards:2 lines in
-      List.iteri
-        (fun i (s, d) ->
-          check Alcotest.string
-            (Printf.sprintf "smoke reply %d" i)
-            (Json.to_string (scrub s))
-            (Json.to_string (scrub d)))
-        (List.combine single dist))
+(* A client that pipelines a window of queries, shuts down its write
+   side and closes without reading used to kill `lbt serve --port`
+   with SIGPIPE on the first reply write.  The listener runs in a child
+   with SIGPIPE reset to its default (this process may already ignore
+   it), so only serve_tcp's own handling can keep it alive. *)
+let test_vanished_client () =
+  let port = port_of 7 in
+  let pid =
+    fork_listener port (fun () ->
+        Sys.set_signal Sys.sigpipe Sys.Signal_default;
+        Server.serve_tcp (Server.create ()) ~port)
+  in
+  Fun.protect
+    ~finally:(fun () -> kill_worker pid)
+    (fun () ->
+      let edges =
+        List.concat
+          (List.init 15 (fun u -> List.init 15 (fun v -> [ u; v ])))
+      in
+      let window =
+        Protocol.request_to_string
+          (Protocol.Load { name = "E"; attrs = [ "u"; "v" ]; tuples = edges })
+        ^ "\n"
+        ^ String.concat ""
+            (List.init 60 (fun _ -> {|{"op":"query","q":"E(x,y), E(y,z)"}|} ^ "\n"))
+      in
+      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+      let rec push off =
+        if off < String.length window then
+          push (off + Unix.write_substring fd window off (String.length window - off))
+      in
+      push 0;
+      Unix.shutdown fd Unix.SHUTDOWN_SEND;
+      Unix.close fd;
+      match Client.connect ~timeout_ms:5000 ~port () with
+      | Error msg -> Alcotest.failf "server gone after a vanished client: %s" msg
+      | Ok c ->
+          Fun.protect
+            ~finally:(fun () -> Client.close c)
+            (fun () ->
+              match Client.ping c with
+              | Ok reply -> check Alcotest.string "ping" "ok" (status reply)
+              | Error msg -> Alcotest.failf "ping failed: %s" msg))
 
 let suite =
   [
@@ -357,9 +215,11 @@ let suite =
     Alcotest.test_case "distributed ≡ single-process sharded (K=1,2,3)"
       `Quick test_distributed_differential;
     Alcotest.test_case "distributed counters byte-identical" `Quick
-      test_distributed_counters_identical;
+      test_distributed_counters;
     Alcotest.test_case "worker death degrades; restart rejoins" `Quick
-      test_worker_death_degrades_and_rejoins;
+      test_worker_death;
     Alcotest.test_case "cross-version splice fuzz" `Quick
       test_cross_version_splice_fuzz;
+    Alcotest.test_case "vanished client spares the server" `Quick
+      test_vanished_client;
   ]

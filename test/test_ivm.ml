@@ -7,21 +7,25 @@
      from a trie rebuilt from scratch over the surviving rows, with or
      without compaction.
    - Catalog differential: random load/insert/delete/drop streams
-     against a naive set-semantics oracle; effective-row reports,
-     per-relation versions, and dump/restore round-trips must agree.
-   - Server IVM differential: the same random query/write session run
-     against IVM-maintained servers under every driver (sequential,
-     pooled, sharded) and an oracle server with IVM off
-     must produce byte-identical answers, and maintenance must
-     actually fire (serve.ivm.maintained > 0).
+     against the set-semantics oracle ([Session.oracle_apply]);
+     effective-row reports, per-relation versions, and dump/restore
+     round-trips must agree.
+   - Server IVM differential: the session matrix's pooled cell (Session)
+     beside the sequential and sharded IVM drivers.
    - WAL fault injection: logs truncated at every record boundary, torn
      mid-record, and CRC/length/payload-corrupted at every record must
      replay to exactly the longest valid prefix, never raise, and be
      repairable in place.
-   - Kill-and-restart: a server abandoned without shutdown must come
-     back from --data-dir state with the same relations and a warm
-     result cache serving byte-identical answers, even when the WAL
-     tail was corrupted after the crash. *)
+   - Kill-and-restart: a scripted session through the session runner,
+     crashing after a write past the snapshot and after a checkpoint;
+     recovered caches are warm.
+   - Corrupt-tail restart: a server whose last WAL append was torn
+     after the crash comes back with the longest valid prefix, and the
+     repaired log accepts new appends.
+
+   The rest of served IVM across tiers and restarts (maintained answers
+   equal to the oracle, durable cells byte-identical to volatile ones)
+   is the session matrix's: its ivm-on cells beside the ivm-off ones. *)
 
 module Json = Lb_service.Json
 module Protocol = Lb_service.Protocol
@@ -34,31 +38,13 @@ module R = Lb_relalg.Relation
 module Db = Lb_relalg.Database
 module Delta_trie = Lb_relalg.Delta_trie
 module Prng = Lb_util.Prng
-module Metrics = Lb_util.Metrics
-module Pool = Lb_util.Pool
+open Session
 
 let check = Alcotest.check
 
-let rounds =
-  match int_of_string_opt (Sys.getenv "LBT_PROP_COUNT") with
-  | Some n when n > 0 -> n
-  | Some _ | None | (exception Not_found) -> 30
+let rounds = Test_property.default_count
 
 (* --- row plumbing --- *)
-
-let sorted_distinct rows =
-  let a = Array.of_list rows in
-  Array.sort compare a;
-  let out = ref [] in
-  Array.iter
-    (fun r ->
-      match !out with h :: _ when compare h r = 0 -> () | _ -> out := r :: !out)
-    a;
-  Array.of_list (List.rev !out)
-
-let rows_equal a b =
-  Array.length a = Array.length b
-  && Array.for_all2 (fun x y -> compare x y = 0) a b
 
 let show_rows rows =
   String.concat ";"
@@ -68,26 +54,13 @@ let show_rows rows =
        (Array.to_list rows))
 
 let check_rows ctxt expected got =
-  if not (rows_equal expected got) then
+  if expected <> got then
     Alcotest.failf "%s: expected {%s} got {%s}" ctxt (show_rows expected)
       (show_rows got)
 
 let random_row rng width dom = Array.init width (fun _ -> Prng.int rng dom)
 
 let random_rows rng ~width ~n ~dom = List.init n (fun _ -> random_row rng width dom)
-
-(* Set-semantics oracle for one write batch, deletes first (the
-   Delta_trie.apply order). *)
-let oracle_apply live ~inserts ~deletes =
-  let tbl = Hashtbl.create 64 in
-  Array.iter (fun r -> Hashtbl.replace tbl (Array.to_list r) r) live;
-  List.iter (fun r -> Hashtbl.remove tbl (Array.to_list r)) deletes;
-  List.iter
-    (fun r ->
-      if not (Hashtbl.mem tbl (Array.to_list r)) then
-        Hashtbl.replace tbl (Array.to_list r) r)
-    inserts;
-  sorted_distinct (Hashtbl.fold (fun _ r acc -> r :: acc) tbl [])
 
 (* --- delta-trie differential --- *)
 
@@ -338,147 +311,6 @@ let test_catalog_differential () =
       dump
   done
 
-(* --- server IVM differential across drivers --- *)
-
-let field name json =
-  match Json.member name json with
-  | Some v -> v
-  | None -> Alcotest.failf "response lacks %S: %s" name (Json.to_string json)
-
-let status json =
-  match field "status" json with
-  | Json.String s -> s
-  | _ -> Alcotest.fail "non-string status"
-
-let expect_ok ctxt json =
-  if status json <> "ok" then
-    Alcotest.failf "%s: expected ok, got %s" ctxt (Json.to_string json)
-
-let cached_of json =
-  match field "cached" json with
-  | Json.Bool b -> b
-  | _ -> Alcotest.fail "cached is not a bool"
-
-let rows_bytes json = Json.to_string (field "rows" json)
-
-let queries =
-  [
-    "E(x,y), E(y,z), E(z,x)";
-    "E(x,y), E(y,z)";
-    "E(x,y), F(y,z)";
-    "E(x,y), E(y,x)";
-    "F(x,y), F(y,z), F(z,x)";
-  ]
-
-let test_server_ivm_differential () =
-  Pool.with_pool 2 (fun pool ->
-      for round = 1 to max 3 (rounds / 6) do
-        let rng = Prng.create (9_700 + round) in
-        let mk config = Server.create ~config () in
-        let ivm_servers =
-          [
-            ("default", mk Server.default_config);
-            ("pooled", mk { Server.default_config with pool = Some pool });
-            ("sharded", mk { Server.default_config with shards = 3 });
-          ]
-        in
-        (* the oracle recomputes from scratch after every write *)
-        let oracle = mk { Server.default_config with ivm = false } in
-        let everyone = ("oracle", oracle) :: ivm_servers in
-        let dom = 5 in
-        let broadcast ctxt req =
-          List.map
-            (fun (label, srv) ->
-              let reply = Server.handle srv req in
-              expect_ok (ctxt ^ " on " ^ label) reply;
-              (label, reply))
-            everyone
-        in
-        let load name =
-          let tuples =
-            List.map Array.to_list
-              (random_rows rng ~width:2 ~n:(8 + Prng.int rng 12) ~dom)
-          in
-          ignore
-            (broadcast ("load " ^ name)
-               (Protocol.Load { name; attrs = [ "u"; "v" ]; tuples }))
-        in
-        load "E";
-        load "F";
-        let compare_query ctxt text =
-          let replies =
-            broadcast ctxt
-              (Protocol.Query { text; opts = Protocol.default_opts })
-          in
-          match replies with
-          | (_, oracle_reply) :: rest ->
-              let want = rows_bytes oracle_reply in
-              List.iter
-                (fun (label, reply) ->
-                  check Alcotest.string
-                    (ctxt ^ ": " ^ label ^ " rows byte-identical to recompute")
-                    want (rows_bytes reply))
-                rest
-          | [] -> assert false
-        in
-        (* warm every cache, then interleave writes and queries *)
-        List.iteri
-          (fun i text -> compare_query (Printf.sprintf "warm %d" i) text)
-          queries;
-        for step = 1 to 14 do
-          let ctxt = Printf.sprintf "round %d step %d" round step in
-          (match Prng.int rng 5 with
-          | 0 | 1 ->
-              let name = if Prng.bool rng then "E" else "F" in
-              let tuples =
-                List.map Array.to_list
-                  (random_rows rng ~width:2 ~n:(1 + Prng.int rng 3) ~dom)
-              in
-              ignore
-                (broadcast
-                   (ctxt ^ " insert " ^ name)
-                   (Protocol.Insert { name; tuples }))
-          | 2 ->
-              let name = if Prng.bool rng then "E" else "F" in
-              let tuples =
-                List.map Array.to_list
-                  (random_rows rng ~width:2 ~n:(1 + Prng.int rng 3) ~dom)
-              in
-              ignore
-                (broadcast
-                   (ctxt ^ " delete " ^ name)
-                   (Protocol.Delete { name; tuples }))
-          | _ -> ());
-          let text = List.nth queries (Prng.int rng (List.length queries)) in
-          compare_query (ctxt ^ " query") text
-        done;
-        (* a query repeated right after a write must be served from the
-           maintained cache on every IVM server *)
-        ignore
-          (broadcast "final insert"
-             (Protocol.Insert { name = "E"; tuples = [ [ 0; 1 ]; [ 1; 0 ] ] }));
-        List.iter
-          (fun (label, srv) ->
-            let reply =
-              Server.handle srv
-                (Protocol.Query
-                   { text = List.hd queries; opts = Protocol.default_opts })
-            in
-            expect_ok ("post-write query on " ^ label) reply;
-            check Alcotest.bool
-              (label ^ ": post-write answer came from the maintained cache")
-              true (cached_of reply);
-            let maintained =
-              Option.value ~default:0
-                (Metrics.find_counter (Server.metrics srv)
-                   "serve.ivm.maintained")
-            in
-            if maintained = 0 then
-              Alcotest.failf "%s: IVM never maintained an entry" label)
-          ivm_servers;
-        compare_query "final" (List.hd queries)
-      done)
-
 (* --- WAL fault injection --- *)
 
 let write_file path s =
@@ -491,14 +323,6 @@ let read_file path =
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
-
-let temp_path =
-  let counter = ref 0 in
-  fun stem ->
-    incr counter;
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "lbt_%s_%d_%d" stem (Unix.getpid ()) !counter)
 
 let sample_records =
   [
@@ -524,7 +348,7 @@ let check_prefix ctxt path ~want ~valid_bytes ~truncated =
   check Alcotest.bool (ctxt ^ ": truncated") truncated r.Wal.truncated
 
 let test_wal_fault_injection () =
-  let path = temp_path "wal" in
+  let path = Filename.temp_file "lbt_wal" "" in
   if Sys.file_exists path then Sys.remove path;
   let w = Wal.open_writer path in
   List.iteri (fun i r -> Wal.append w ~version:(i + 1) r) sample_records;
@@ -621,101 +445,68 @@ let test_wal_fault_injection () =
   | _ -> Alcotest.fail "appended record not recovered");
   Sys.remove path
 
+(* --- served IVM across drivers --- *)
+
+(* The sequential, pooled and sharded drivers of an IVM server replay
+   the seeded sessions: every answer is the oracle's, scrubbed replies
+   are byte-identical across the three, and the query after the last
+   write is served from the maintained cache.  Tick budgets are
+   stripped: the pooled domains tick one budget unsynchronised. *)
+let test_server_ivm_differential () =
+  Pool.with_pool 2 (fun pool ->
+      let seq = { shards = 1; ivm = true; durable = false; workers = 0; pooled = false } in
+      check_sessions ~name:"server IVM differential" (fun steps ->
+          ignore
+            (run_matrix ~pool
+               [ seq; { seq with pooled = true }; { seq with shards = 3 } ]
+               (unbudgeted steps))))
+
 (* --- kill-and-restart recovery --- *)
 
-let temp_dir stem =
-  let d = temp_path stem in
-  Unix.mkdir d 0o700;
-  d
+(* A durable server crashes once with a WAL record past its snapshot
+   and once right after a checkpoint; the runner checks each replay
+   count, every answer against the oracle and every reply (versions,
+   cached flags) against the volatile cells.  The first query after
+   each recovery comes from the warm cache: maintained through the
+   replayed insert under IVM, restored from the snapshot in any case. *)
+let test_kill_and_restart () =
+  let rng = Prng.create 4242 in
+  let tri = Send (Protocol.Query { text = triangle; opts = Protocol.default_opts }) in
+  let tuples = List.map Array.to_list (random_rows rng ~width:2 ~n:24 ~dom:6) in
+  let steps =
+    [
+      Send (Protocol.Load { name = "E"; attrs = [ "u"; "v" ]; tuples });
+      tri;
+      Send Protocol.Checkpoint;
+      Send (Protocol.Insert { name = "E"; tuples = [ [ 0; 1 ]; [ 1; 2 ]; [ 2; 0 ] ] });
+      Crash;
+      tri;
+      Send Protocol.Checkpoint;
+      Crash;
+      tri;
+    ]
+    @ epilogue ~dom:6
+  in
+  let cached replies i = Json.member "cached" (snd (List.nth replies i)) in
+  List.iter
+    (fun (c, replies) ->
+      if c.durable then begin
+        check Alcotest.bool (cell_name c ^ ": replayed insert maintained") true
+          (cached replies 4 = Some (Json.Bool c.ivm));
+        check Alcotest.bool (cell_name c ^ ": snapshot restores the cache") true
+          (cached replies 6 = Some (Json.Bool true))
+      end)
+    (run_matrix (matrix ~workers:0 ()) steps)
 
-let rm_rf dir =
-  if Sys.file_exists dir then begin
-    Array.iter
-      (fun f -> Sys.remove (Filename.concat dir f))
-      (Sys.readdir dir);
-    Unix.rmdir dir
-  end
+(* --- restart over a corrupt WAL tail --- *)
 
 let durable_config dir =
   { Server.default_config with data_dir = Some dir; snapshot_every = 100 }
 
-let triangle = List.hd queries
-
 let run_query srv =
   Server.handle srv (Protocol.Query { text = triangle; opts = Protocol.default_opts })
 
-let counter srv name =
-  Option.value ~default:0 (Metrics.find_counter (Server.metrics srv) name)
-
-let test_kill_and_restart () =
-  let dir = temp_dir "durable" in
-  Fun.protect
-    ~finally:(fun () -> rm_rf dir)
-    (fun () ->
-      let rng = Prng.create 4242 in
-      let tuples =
-        List.map Array.to_list (random_rows rng ~width:2 ~n:24 ~dom:6)
-      in
-      (* session 1: load, warm the cache, checkpoint (persisting the
-         cache), then write through IVM and vanish without shutdown -
-         recovery must restore the snapshot's cache AND maintain it
-         forward through the WAL records past the snapshot *)
-      let s1 = Server.create ~config:(durable_config dir) () in
-      expect_ok "load"
-        (Server.handle s1
-           (Protocol.Load { name = "E"; attrs = [ "u"; "v" ]; tuples }));
-      expect_ok "first query" (run_query s1);
-      expect_ok "mid-session checkpoint" (Server.handle s1 Protocol.Checkpoint);
-      expect_ok "insert"
-        (Server.handle s1
-           (Protocol.Insert { name = "E"; tuples = [ [ 0; 1 ]; [ 1; 2 ]; [ 2; 0 ] ] }));
-      let last = run_query s1 in
-      expect_ok "post-insert query" last;
-      check Alcotest.bool "session 1 answer is IVM-maintained" true
-        (cached_of last);
-      let want_rows = rows_bytes last in
-      let want_summary = Catalog.summary (Server.catalog s1) in
-      let want_version = Catalog.version (Server.catalog s1) in
-      (* session 2: recover from snapshot + WAL replay *)
-      let s2 = Server.create ~config:(durable_config dir) () in
-      check
-        Alcotest.(list (pair string int))
-        "relations survive the crash" want_summary
-        (Catalog.summary (Server.catalog s2));
-      check Alcotest.int "catalog version survives" want_version
-        (Catalog.version (Server.catalog s2));
-      check Alcotest.bool "WAL records were replayed" true
-        (counter s2 "serve.wal.replayed" > 0);
-      let replayed = run_query s2 in
-      expect_ok "recovered query" replayed;
-      check Alcotest.bool "recovered answer comes from the warm cache" true
-        (cached_of replayed);
-      check Alcotest.string "recovered answer byte-identical" want_rows
-        (rows_bytes replayed);
-      check Alcotest.bool "warm cache registered a hit" true
-        (counter s2 "serve.cache.result.hits" > 0);
-      (* checkpoint, then restart again: now recovery comes from the
-         snapshot alone *)
-      let ck = Server.handle s2 Protocol.Checkpoint in
-      expect_ok "checkpoint" ck;
-      check Alcotest.bool "snapshot written" true
-        (counter s2 "serve.wal.snapshots" > 0);
-      let s3 = Server.create ~config:(durable_config dir) () in
-      check Alcotest.int "snapshot-only replay" 0
-        (counter s3 "serve.wal.replayed");
-      let from_snapshot = run_query s3 in
-      check Alcotest.bool "snapshot restores the result cache" true
-        (cached_of from_snapshot);
-      check Alcotest.string "snapshot answer byte-identical" want_rows
-        (rows_bytes from_snapshot);
-      (* a write after recovery keeps maintaining the recovered cache *)
-      expect_ok "post-recovery insert"
-        (Server.handle s3
-           (Protocol.Insert { name = "E"; tuples = [ [ 3; 4 ] ] }));
-      let maintained = run_query s3 in
-      expect_ok "post-recovery query" maintained;
-      check Alcotest.bool "recovered entry is maintainable" true
-        (cached_of maintained))
+let rows_bytes json = Json.to_string (field "rows" json)
 
 let test_restart_with_corrupt_tail () =
   let dir = temp_dir "torn" in

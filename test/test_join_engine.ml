@@ -1,9 +1,9 @@
 (* Differential and determinism tests for the worst-case-optimal join
    engine.
 
-   - Differential: ~100 random (query, database) pairs are evaluated by
-     Generic Join and Leapfrog Triejoin and compared against the naive
-     hash-join oracle (Query.answer: a fold of Relation.natural_join,
+   - Differential: ~100 random (query, database) pairs (Session's
+     generators) are evaluated by Generic Join and Leapfrog Triejoin and
+     compared against the naive hash-join oracle (Query.answer: a fold of Relation.natural_join,
      which shares no code with the trie engine).  Queries include unary
      atoms, repeated variables inside an atom, empty relations and
      cross products.
@@ -20,38 +20,9 @@ module Lf = Lb_relalg.Leapfrog
 module Pool = Lb_util.Pool
 module Exec = Lb_util.Exec
 module Prng = Lb_util.Prng
+open Session
 
 let check = Alcotest.check
-
-(* --- random instances --- *)
-
-let var_pool = [| "a"; "b"; "c"; "d" |]
-
-(* 1-3 atoms over 2-4 variables, arity 1-3, repeated variables allowed;
-   every atom gets its own relation symbol *)
-let random_query rng =
-  let nvars = 2 + Prng.int rng 3 in
-  let natoms = 1 + Prng.int rng 3 in
-  List.init natoms (fun i ->
-      let arity = 1 + Prng.int rng 3 in
-      let vs = Array.init arity (fun _ -> var_pool.(Prng.int rng nvars)) in
-      Q.atom (Printf.sprintf "R%d" i) vs)
-
-(* small active domain so joins actually match; ~5% empty relations *)
-let random_db rng (q : Q.t) =
-  let dom = 2 + Prng.int rng 4 in
-  Db.of_list
-    (List.map
-       (fun (a : Q.atom) ->
-         let arity = Array.length a.Q.attrs in
-         let nrows = if Prng.bernoulli rng 0.05 then 0 else 1 + Prng.int rng 12 in
-         let tuples =
-           List.init nrows (fun _ ->
-               Array.init arity (fun _ -> Prng.int rng dom))
-         in
-         let attrs = Array.init arity (Printf.sprintf "c%d") in
-         (a.Q.rel, R.make attrs tuples))
-       q)
 
 let test_differential () =
   for seed = 1 to 100 do
@@ -76,52 +47,33 @@ let test_differential () =
 
 (* --- parallel determinism --- *)
 
-(* the broom: value 0 of the first variable carries ~half the join
-   work, so the driver's skew splitting is on the hot path *)
-let broom_relation n attrs =
-  let tuples = ref [ [| 0; 0 |] ] in
-  for i = 1 to n do
-    tuples := [| 0; i |] :: [| i; 0 |] :: !tuples
-  done;
-  R.make attrs !tuples
-
-let broom_db n =
-  Db.of_list
-    [
-      ("R", broom_relation n [| "a"; "b" |]);
-      ("S", broom_relation n [| "b"; "c" |]);
-      ("T", broom_relation n [| "a"; "c" |]);
-    ]
-
-let triangle = Q.parse "R(a,b), S(b,c), T(a,c)"
-
 let test_parallel_matches_sequential_gj () =
   let db = broom_db 150 in
   let cs = Gj.fresh_counters () in
-  let n_seq = Gj.count ~counters:cs db triangle in
-  let ans_seq = Gj.answer db triangle in
+  let n_seq = Gj.count ~counters:cs db broom_triangle in
+  let ans_seq = Gj.answer db broom_triangle in
   Pool.with_pool 4 (fun pool ->
       let cp = Gj.fresh_counters () in
-      let n_par = Gj.count ~counters:cp ~ctx:(Exec.make ~pool ()) db triangle in
+      let n_par = Gj.count ~counters:cp ~ctx:(Exec.make ~pool ()) db broom_triangle in
       check Alcotest.int "count" n_seq n_par;
       check Alcotest.int "intersections counter" cs.Gj.intersections
         cp.Gj.intersections;
       check Alcotest.int "emitted counter" cs.Gj.emitted cp.Gj.emitted;
-      let ans_par = Gj.answer ~ctx:(Exec.make ~pool ()) db triangle in
+      let ans_par = Gj.answer ~ctx:(Exec.make ~pool ()) db broom_triangle in
       check Alcotest.bool "answer relation" true (R.equal ans_seq ans_par))
 
 let test_parallel_matches_sequential_lf () =
   let db = broom_db 150 in
   let cs = Lf.fresh_counters () in
-  let n_seq = Lf.count ~counters:cs db triangle in
-  let ans_seq = Lf.answer db triangle in
+  let n_seq = Lf.count ~counters:cs db broom_triangle in
+  let ans_seq = Lf.answer db broom_triangle in
   Pool.with_pool 4 (fun pool ->
       let cp = Lf.fresh_counters () in
-      let n_par = Lf.count ~counters:cp ~ctx:(Exec.make ~pool ()) db triangle in
+      let n_par = Lf.count ~counters:cp ~ctx:(Exec.make ~pool ()) db broom_triangle in
       check Alcotest.int "count" n_seq n_par;
       check Alcotest.int "seeks counter" cs.Lf.seeks cp.Lf.seeks;
       check Alcotest.int "emitted counter" cs.Lf.emitted cp.Lf.emitted;
-      let ans_par = Lf.answer ~ctx:(Exec.make ~pool ()) db triangle in
+      let ans_par = Lf.answer ~ctx:(Exec.make ~pool ()) db broom_triangle in
       check Alcotest.bool "answer relation" true (R.equal ans_seq ans_par))
 
 let test_parallel_random_instances () =
@@ -148,9 +100,9 @@ let test_pool_of_one_is_sequential () =
   let db = broom_db 40 in
   Pool.with_pool 1 (fun pool ->
       let cs = Gj.fresh_counters () in
-      let n_seq = Gj.count ~counters:cs db triangle in
+      let n_seq = Gj.count ~counters:cs db broom_triangle in
       let cp = Gj.fresh_counters () in
-      let n_par = Gj.count ~counters:cp ~ctx:(Exec.make ~pool ()) db triangle in
+      let n_par = Gj.count ~counters:cp ~ctx:(Exec.make ~pool ()) db broom_triangle in
       check Alcotest.int "count" n_seq n_par;
       check Alcotest.int "intersections" cs.Gj.intersections
         cp.Gj.intersections)

@@ -25,5 +25,6 @@ let () =
       ("budget", Test_budget.suite);
       ("service", Test_service.suite);
       ("ivm", Test_ivm.suite);
+      ("session", Session.suite);
       ("property", Test_property.suite);
     ]
